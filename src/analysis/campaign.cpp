@@ -71,8 +71,7 @@ Campaign::Campaign(CampaignConfig config) : config_(config) {
                                                          *tc_, scfg);
 
   portal::PortalConfig pcfg;
-  pcfg.cutout_query = config_.batched_cutouts ? portal::CutoutQueryMode::kWideCone
-                                              : config_.cutout_mode;
+  pcfg.cutout_query = config_.cutout_mode;
   pcfg.retry = config_.retry;
   pcfg.breaker = config_.breaker;
   pcfg.tracer = config_.tracer;

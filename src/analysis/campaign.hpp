@@ -31,9 +31,9 @@ namespace nvo::analysis {
 
 struct CampaignConfig {
   std::uint64_t seed = 20031115;
-  bool batched_cutouts = false;   ///< legacy switch: force the wide-cone SIA mode
-  /// Cutout metadata retrieval mode when batched_cutouts is off (coalesced
-  /// patch batching by default; kPerGalaxy reproduces the paper's loop).
+  /// Cutout metadata retrieval mode (coalesced patch batching by default;
+  /// kPerGalaxy reproduces the paper's loop, kWideCone the single
+  /// cluster-wide query it wished for).
   portal::CutoutQueryMode cutout_mode = portal::CutoutQueryMode::kCoalesced;
   std::size_t compute_threads = 2;
   double corruption_rate = 0.04;  ///< bad-cutout fraction

@@ -1,8 +1,6 @@
 #include "analysis/survey.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -44,31 +42,21 @@ double wall_seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
+}  // namespace
+
+namespace detail {
+
 // ---------------------------------------------------------------------------
 // Spill-run codec. One text line per galaxy:
 //
 //   <id> 1 <sb> <C> <A> <r_p> <snr> <kpc/arcsec>
 //   <id> 0
 //
-// with each double written as its 16-hex-digit IEEE-754 bit pattern, so the
-// decode side reconstructs bit-identical values and the streamed catalog
-// renders byte-identically to the in-memory concat_results path.
+// with each double written as its 16-hex-digit IEEE-754 bit pattern (the
+// common record codec, common/strings.hpp), so the decode side reconstructs
+// bit-identical values and the streamed catalog renders byte-identically to
+// the in-memory concat_results path.
 // ---------------------------------------------------------------------------
-
-void append_hex_u64(std::string& out, std::uint64_t v) {
-  static constexpr char kDigits[] = "0123456789abcdef";
-  for (int shift = 60; shift >= 0; shift -= 4) {
-    out.push_back(kDigits[(v >> shift) & 0xF]);
-  }
-}
-
-void append_hex_double(std::string& out, double v) {
-  append_hex_u64(out, std::bit_cast<std::uint64_t>(v));
-}
-
-}  // namespace
-
-namespace detail {
 
 void encode_run_line(const core::GalMorphResult& r, std::string& out) {
   out += r.galaxy_id;
@@ -90,23 +78,6 @@ void encode_run_line(const core::GalMorphResult& r, std::string& out) {
   append_hex_double(out, r.kpc_per_arcsec);
   out.push_back('\n');
 }
-
-}  // namespace detail
-
-namespace {
-
-bool parse_hex_double(std::string_view text, double& out) {
-  std::uint64_t bits = 0;
-  const auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), bits, 16);
-  if (ec != std::errc() || ptr != text.data() + text.size()) return false;
-  out = std::bit_cast<double>(bits);
-  return true;
-}
-
-}  // namespace
-
-namespace detail {
 
 /// Decodes one run line into a reusable 8-cell catalog row (same column
 /// order as core::concat_results). The id cell recycles its string storage,

@@ -1,6 +1,8 @@
 #include "common/strings.hpp"
 
+#include <bit>
 #include <cctype>
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -108,6 +110,68 @@ std::string replace_all(std::string s, std::string_view from, std::string_view t
     pos += to.size();
   }
   return s;
+}
+
+void append_hex_u64(std::string& out, std::uint64_t v) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  for (int shift = 60; shift >= 0; shift -= 4) {
+    out.push_back(kDigits[(v >> shift) & 0xF]);
+  }
+}
+
+void append_hex_double(std::string& out, double v) {
+  append_hex_u64(out, std::bit_cast<std::uint64_t>(v));
+}
+
+std::string hex_u64(std::uint64_t v) {
+  std::string out;
+  append_hex_u64(out, v);
+  return out;
+}
+
+bool parse_hex_u64(std::string_view text, std::uint64_t& out) {
+  const auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), out, 16);
+  return ec == std::errc() && ptr == text.data() + text.size();
+}
+
+bool parse_hex_double(std::string_view text, double& out) {
+  std::uint64_t bits = 0;
+  if (!parse_hex_u64(text, bits)) return false;
+  out = std::bit_cast<double>(bits);
+  return true;
+}
+
+std::string escape_field(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  for (const unsigned char c : s) {
+    if (c == '%' || c <= 0x20) {
+      out += format("%%%02X", c);
+    } else {
+      out += static_cast<char>(c);
+    }
+  }
+  return out;
+}
+
+std::string unescape_field(std::string_view s, bool plus_is_space) {
+  const auto hex = [](char c) -> int {
+    if (c >= '0' && c <= '9') return c - '0';
+    if (c >= 'A' && c <= 'F') return c - 'A' + 10;
+    if (c >= 'a' && c <= 'f') return c - 'a' + 10;
+    return -1;
+  };
+  std::string out;
+  out.reserve(s.size());
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    if (s[i] == '%' && i + 2 < s.size() && hex(s[i + 1]) >= 0 && hex(s[i + 2]) >= 0) {
+      out += static_cast<char>(hex(s[i + 1]) * 16 + hex(s[i + 2]));
+      i += 2;
+    } else {
+      out += plus_is_space && s[i] == '+' ? ' ' : s[i];
+    }
+  }
+  return out;
 }
 
 }  // namespace nvo

@@ -2,6 +2,7 @@
 // HTTP-style query strings, FITS header cards).
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -41,5 +42,28 @@ std::string fixed(double value, int digits);
 
 /// Replaces every occurrence of `from` with `to`.
 std::string replace_all(std::string s, std::string_view from, std::string_view to);
+
+// Record codec shared by the checkpoint journal (its record framing and the
+// compute service's row records) and the survey's spill runs (all
+// space-separated text lines). Doubles travel as their
+// 16-hex-digit IEEE-754 bit pattern, so a decoded value is bit-identical to
+// the encoded one; free-text fields are percent-escaped so they cannot
+// break the framing (URL query decoding shares the same decoder).
+
+/// Appends `v` as 16 lowercase hex digits.
+void append_hex_u64(std::string& out, std::uint64_t v);
+/// Appends the bit pattern of `v` as 16 lowercase hex digits.
+void append_hex_double(std::string& out, double v);
+std::string hex_u64(std::uint64_t v);
+/// Parse a whole field written by the appenders above; false on anything else.
+bool parse_hex_u64(std::string_view text, std::uint64_t& out);
+bool parse_hex_double(std::string_view text, double& out);
+
+/// Percent-encodes '%' and every byte <= 0x20 (space and all control
+/// characters) as "%XX", so a field survives any whitespace tokenizer.
+std::string escape_field(std::string_view s);
+/// Decodes every valid "%XX" escape; anything else passes through verbatim,
+/// except that '+' becomes ' ' when `plus_is_space` (URL query encoding).
+std::string unescape_field(std::string_view s, bool plus_is_space = false);
 
 }  // namespace nvo

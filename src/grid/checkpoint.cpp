@@ -1,7 +1,5 @@
 #include "grid/checkpoint.hpp"
 
-#include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -14,47 +12,6 @@ namespace nvo::grid {
 namespace {
 
 constexpr const char kHeader[] = "NVOCKPT 1";
-
-/// Percent-encodes the characters that would break record-line framing.
-/// The loader tokenizes header lines with `istream >>`, which splits on
-/// *any* whitespace — so every byte <= 0x20 (tab, \v, \f included, not just
-/// space/CR/LF) must be escaped, plus '%' itself so escapes round-trip.
-std::string encode_key(const std::string& key) {
-  std::string out;
-  out.reserve(key.size());
-  for (unsigned char c : key) {
-    if (c == '%' || c <= 0x20) {
-      out += format("%%%02X", c);
-    } else {
-      out += static_cast<char>(c);
-    }
-  }
-  return out;
-}
-
-std::string decode_key(const std::string& enc) {
-  std::string out;
-  out.reserve(enc.size());
-  for (std::size_t i = 0; i < enc.size(); ++i) {
-    if (enc[i] == '%' && i + 2 < enc.size()) {
-      const auto hex = [](char c) -> int {
-        if (c >= '0' && c <= '9') return c - '0';
-        if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-        if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-        return -1;
-      };
-      const int hi = hex(enc[i + 1]);
-      const int lo = hex(enc[i + 2]);
-      if (hi >= 0 && lo >= 0) {
-        out += static_cast<char>(hi * 16 + lo);
-        i += 2;
-        continue;
-      }
-    }
-    out += enc[i];
-  }
-  return out;
-}
 
 }  // namespace
 
@@ -100,12 +57,11 @@ Expected<std::unique_ptr<CheckpointJournal>> CheckpointJournal::open(
         break;  // short write: the kill arrived mid-record
       }
       std::string payload = content.substr(payload_start, len);
-      char* end = nullptr;
-      const std::uint64_t want = std::strtoull(digest_hex.c_str(), &end, 16);
-      if (end == digest_hex.c_str() || hash64(payload) != want) {
+      std::uint64_t want = 0;
+      if (!parse_hex_u64(digest_hex, want) || hash64(payload) != want) {
         break;  // checksum mismatch: torn or corrupted tail
       }
-      journal->records_[kind][decode_key(key_enc)] = std::move(payload);
+      journal->records_[kind][unescape_field(key_enc)] = std::move(payload);
       ++journal->stats_.records_loaded;
       pos = payload_start + len + 1;
       good_end = pos;
@@ -141,9 +97,10 @@ Status CheckpointJournal::write_record(const std::string& kind,
                                        const std::string& payload) {
   std::ofstream out(path_, std::ios::binary | std::ios::app);
   if (!out) return Error(ErrorCode::kIoError, "cannot append to " + path_);
-  out << "rec " << kind << ' ' << encode_key(key) << ' ' << payload.size() << ' '
-      << format("%016llx", static_cast<unsigned long long>(hash64(payload)))
-      << '\n';
+  // The loader splits header lines on any whitespace; escape_field covers
+  // every byte <= 0x20, so no key can break the framing.
+  out << "rec " << kind << ' ' << escape_field(key) << ' ' << payload.size() << ' '
+      << hex_u64(hash64(payload)) << '\n';
   out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
   out << '\n';
   out.flush();

@@ -1,11 +1,11 @@
 #include "portal/async_portal.hpp"
 
 #include <algorithm>
+#include <cstdlib>
 #include <utility>
 
+#include "common/log.hpp"
 #include "common/strings.hpp"
-#include "portal/transforms.hpp"
-#include "votable/table_ops.hpp"
 #include "votable/votable_io.hpp"
 
 namespace nvo::portal {
@@ -47,21 +47,23 @@ AsyncPortal::AsyncPortal(services::HttpFabric& fabric,
       config_(std::move(config)),
       admission_(config_.admission),
       drr_(config_.drr),
-      memo_cache_(config_.memo_cache),
+      memo_cache_(std::make_shared<services::ReplicaCache>(config_.memo_cache)),
       ids_("preq-"),
       status_board_(std::make_shared<std::map<std::string, std::string>>()) {
-  // Evicted memo entries silently demote future duplicates to full runs;
-  // the hook only keeps accounting honest. Runs outside every cache lock
-  // (see the EvictionCallback lock-discipline contract), so it could even
-  // re-enter the cache.
-  stats_ = Stats{};
-  auto* evictions = &stats_.memo_evictions;
-  memo_cache_.set_eviction_callback(
-      [evictions](const std::string&) { ++*evictions; });
+  // The fabric dispatches a host+path to the route registered first, so a
+  // second portal on this host would be served the first one's status
+  // board and memo: a misconfiguration, refused here.
+  for (const auto& [host, path] : fabric_.route_keys()) {
+    if (host == config_.host && (path == "/status" || path == "/memo")) {
+      log_error("portal", "host " + host + " already serves " + path +
+                              "; give each AsyncPortal its own host");
+      std::abort();
+    }
+  }
 
   // The portal's own Fig. 6-style status endpoint: poll-able over the
-  // fabric, one id per request. The board is shared so the handler stays
-  // valid independent of the portal's lifetime.
+  // fabric, one id per request. The board (like the memo below) is shared
+  // so the handler stays valid independent of the portal's lifetime.
   auto board = status_board_;
   fabric_.route(
       config_.host, "/status",
@@ -77,6 +79,21 @@ AsyncPortal::AsyncPortal(services::HttpFabric& fabric,
         return services::HttpResponse::text(found->second, "text/plain");
       },
       services::EndpointModel{2.0, 100.0, 0.0, true});
+
+  // Memo hits are served from here: exactly the catalog bytes the key's
+  // leader was served, at the transfer cost of the compute service's own
+  // /results endpoint.
+  auto memo = memo_cache_;
+  fabric_.route(
+      config_.host, "/memo",
+      [memo](const services::Url& url) -> Expected<services::HttpResponse> {
+        const auto name = url.param("name");
+        if (!name) return Error(ErrorCode::kInvalidArgument, "missing name parameter");
+        const services::ReplicaCache::Payload bytes = memo->get(*name);
+        if (!bytes) return Error(ErrorCode::kNotFound, "no memoized catalog " + *name);
+        return services::HttpResponse::binary(*bytes, "text/xml;content=x-votable");
+      },
+      services::EndpointModel{10.0, 50.0, 0.0, true});
 }
 
 void AsyncPortal::add_cluster(ClusterEntry entry) {
@@ -139,9 +156,6 @@ Submission AsyncPortal::submit(const std::string& tenant_name,
   req.params = params;
   req.memo_key = cluster + "\x1f" + params;
   req.out_name = params.empty() ? cluster : cluster + "_" + params;
-  req.out_lfn = output_votable_lfn(req.out_name);
-  req.result_url =
-      "http://" + compute_.config().host + "/results?name=" + req.out_lfn;
   req.submit_ms = now_ms();
   // The absolute deadline is fixed HERE, at submission — every layer below
   // computes its remaining budget against this instant, so queue time counts
@@ -299,7 +313,7 @@ void AsyncPortal::start_request(Tenant& tenant, const std::string& id) {
     expire_request(tenant, req, "deadline budget exhausted in queue");
     return;
   }
-  if (memo_ready(req)) {
+  if (memo_cache_->contains(req.out_name)) {
     // Completed-derivation memo hit: the request still runs (and pays for)
     // one catalog fetch through its own tenant's client, but skips the
     // whole derivation pipeline.
@@ -353,118 +367,72 @@ void AsyncPortal::advance(Tenant& tenant, Request& req) {
         tenant, req,
         format("deadline budget exhausted at stage %s", stage_name(req.stage)));
   }
-  // Federation queries, cutout resolution and result fetches all go through
-  // the tenant's own resilient client: scope the request's remaining budget
-  // and token onto it for the duration of this stage, so per-call deadlines
-  // clamp to what's left and backoff never sleeps past the SLO.
-  services::ResilientClient::ScopedContext scoped(tenant.portal->client(),
-                                                  req.ctx);
+  // Every stage is one Portal stage method, run through the tenant's own
+  // portal and resilient client: scope the request's remaining budget and
+  // token onto that client for the duration of this stage, so per-call
+  // deadlines clamp to what's left and backoff never sleeps past the SLO.
+  Portal& portal = *tenant.portal;
+  services::ResilientClient::ScopedContext scoped(portal.client(), req.ctx);
   switch (req.stage) {
     case Stage::kImages: {
-      auto images = tenant.portal->find_large_scale_images(req.cluster, &req.trace);
+      auto images = portal.find_large_scale_images(req.cluster, &req.trace);
       if (!images.ok()) return fail_request(tenant, req, images.error().to_string());
       req.images = std::move(images.value());
       req.stage = Stage::kCatalog;
       return;
     }
     case Stage::kCatalog: {
-      auto catalog = tenant.portal->build_galaxy_catalog(req.cluster, &req.trace);
+      auto catalog = portal.build_galaxy_catalog(req.cluster, &req.trace);
       if (!catalog.ok()) return fail_request(tenant, req, catalog.error().to_string());
       req.catalog = std::move(catalog.value());
       req.stage = Stage::kCutouts;
       return;
     }
     case Stage::kCutouts: {
-      auto with_refs = tenant.portal->attach_cutout_refs(std::move(req.catalog),
-                                                         req.cluster, &req.trace);
+      auto with_refs =
+          portal.attach_cutout_refs(std::move(req.catalog), req.cluster, &req.trace);
       if (!with_refs.ok()) {
         return fail_request(tenant, req, with_refs.error().to_string());
       }
       req.catalog = std::move(with_refs.value());
-      req.trace.galaxies = req.catalog.num_rows();
       req.stage = Stage::kCompute;
       return;
     }
     case Stage::kCompute: {
-      const auto url_col = req.catalog.column_index("cutout_url");
-      if (!url_col) {
-        return fail_request(tenant, req, "cutout stage produced no cutout_url column");
-      }
-      votable::Table input =
-          votable::select(req.catalog, [&](const votable::Row& row) {
-            const auto url = row[*url_col].as_string();
-            return url && !url->empty();
-          });
-      if (input.num_rows() == 0) {
-        return fail_request(tenant, req,
-                            "no galaxy in " + req.cluster + " has a cutout reference");
-      }
-      const double before = now_ms();
-      auto status_url = compute_.gal_morph_compute(input, req.out_name, req.ctx);
-      if (!status_url.ok()) {
-        return fail_request(tenant, req, status_url.error().to_string());
-      }
-      if (const auto pos = status_url->find("id="); pos != std::string::npos) {
-        req.trace.compute_request_id = status_url->substr(pos + 3);
-      }
-      std::string result_url;
-      for (int i = 0; i < config_.portal.poll_limit; ++i) {
-        auto poll = compute_.poll(status_url.value());
-        if (!poll.ok()) return fail_request(tenant, req, poll.error().to_string());
-        ++req.trace.polls;
-        if (poll->state == "completed") {
-          result_url = poll->result_url;
-          break;
-        }
-        if (poll->state == "cancelled") {
-          req.error = "compute cancelled: " + join(poll->messages, "; ");
+      auto morphology =
+          portal.compute_morphology(req.catalog, req.out_name, req.ctx, &req.trace);
+      if (!morphology.ok()) {
+        const Error& error = morphology.error();
+        if (error.code == ErrorCode::kCancelled) {
+          req.error = error.message;
           req.retry_after_ms = admission_.retry_after_hint();
           return finish(tenant, req, RequestState::kCancelled);
         }
-        if (poll->state == "expired") {
-          return expire_request(tenant, req,
-                                "compute deadline exceeded: " +
-                                    join(poll->messages, "; "));
+        if (error.code == ErrorCode::kDeadlineExceeded) {
+          return expire_request(tenant, req, error.message);
         }
-        if (poll->state == "failed") {
-          return fail_request(tenant, req, "compute service failed: " +
-                                               join(poll->messages, "; "));
-        }
-      }
-      if (result_url.empty()) {
-        return fail_request(tenant, req, "compute service never completed");
-      }
-      auto fetched = tenant.portal->client().get(result_url);
-      if (!fetched.ok()) return fail_request(tenant, req, fetched.error().to_string());
-      auto morphology = votable::from_votable_xml(fetched->body_text());
-      if (!morphology.ok()) {
-        return fail_request(tenant, req, morphology.error().to_string());
+        return fail_request(tenant, req, error.to_string());
       }
       req.morphology = std::move(morphology.value());
-      req.trace.compute_wait_ms += now_ms() - before;
       if (const ServiceTrace* st = compute_.trace(req.trace.compute_request_id)) {
         // The service reports its staging + workflow makespan as a trace
         // quantity; surface it on the shared timeline so every tenant's
         // latency — and the DRR's cost accounting — sees the compute time.
         fabric_.advance_clock(st->total_sim_seconds * 1000.0);
-        req.trace.compute_wait_ms += st->total_sim_seconds * 1000.0;
         if (st->cache_hit || st->journal_hit) {
           ++stats_.compute_cache_hits;
         } else {
           ++stats_.recomputes;
         }
       }
-      req.result_url = result_url;
       req.stage = Stage::kMerge;
       return;
     }
     case Stage::kMerge: {
-      auto merged = votable::join(req.catalog, req.morphology, "id", "id",
-                                  votable::JoinKind::kLeft);
+      auto merged =
+          portal.merge_morphology(req.catalog, req.morphology, req.cluster, &req.trace);
       if (!merged.ok()) return fail_request(tenant, req, merged.error().to_string());
       req.result = std::move(merged.value());
-      req.result.name = req.cluster + "_analysis";
-      req.trace.valid = count_valid(req.result, &req.trace.invalid);
       finish(tenant, req,
              req.trace.archives_degraded() > 0 ? RequestState::kPartial
                                                : RequestState::kDone);
@@ -479,11 +447,9 @@ void AsyncPortal::advance(Tenant& tenant, Request& req) {
 }
 
 void AsyncPortal::serve_from_memo(Tenant& tenant, Request& req) {
-  const auto payload = memo_cache_.get(req.out_lfn);
-  const std::string* xml = compute_.result_xml(req.out_lfn);
-  if (!payload || !xml) {
-    // Evicted (or the backing store lost it) between scheduling and serve:
-    // demote to a full derivation, re-entering the single-flight protocol.
+  if (!memo_cache_->contains(req.out_name)) {
+    // Evicted between scheduling and serve: demote to a full derivation,
+    // re-entering the single-flight protocol.
     if (const auto leader = inflight_.find(req.memo_key);
         leader != inflight_.end()) {
       req.coalesced = true;
@@ -502,16 +468,15 @@ void AsyncPortal::serve_from_memo(Tenant& tenant, Request& req) {
     req.stage = Stage::kImages;
     return;
   }
-  // Serve the memoized catalog through the tenant's own client — a real
+  // Serve the memoized deliverable through the tenant's own client — a real
   // fabric fetch (latency, integrity verification, breaker accounting)
-  // against the RLS-backed result store, not a zero-cost map lookup.
-  auto fetched = tenant.portal->client().get(req.result_url);
-  if (!fetched.ok()) return fail_request(tenant, req, fetched.error().to_string());
-  auto table = votable::from_votable_xml(fetched->body_text());
+  // from this portal's host, not a zero-cost map lookup.
+  auto table = tenant.portal->fetch_catalog("http://" + config_.host + "/memo?name=" +
+                                            services::url_encode(req.out_name));
   if (!table.ok()) return fail_request(tenant, req, table.error().to_string());
   req.result = std::move(table.value());
   req.trace.galaxies = req.result.num_rows();
-  req.trace.valid = count_valid(req.result, &req.trace.invalid);
+  req.trace.tally_validity(req.result);
   req.memo_hit = true;
   ++stats_.memo_hits;
   finish(tenant, req, RequestState::kDone);
@@ -653,18 +618,11 @@ void AsyncPortal::refresh_activation(Tenant& tenant) {
 }
 
 void AsyncPortal::memoize(const Request& req) {
-  const std::string* xml = compute_.result_xml(req.out_lfn);
-  if (!xml) return;
-  memo_cache_.put(req.out_lfn,
-                  std::vector<std::uint8_t>(xml->begin(), xml->end()));
-}
-
-bool AsyncPortal::memo_ready(const Request& req) const {
-  // Valid only while BOTH layers hold the catalog: the portal's memo cache
-  // (byte-budgeted; evictions demote to recompute) and the compute
-  // service's RLS-backed result store that /results serves from.
-  return memo_cache_.contains(req.out_lfn) &&
-         compute_.result_xml(req.out_lfn) != nullptr;
+  // The memo holds the serialized deliverable itself, so a hit is served
+  // exactly the bytes the leader was (byte-budgeted; evictions demote later
+  // duplicates to a full run).
+  const std::string xml = votable::to_votable_xml(req.result);
+  memo_cache_->put(req.out_name, std::vector<std::uint8_t>(xml.begin(), xml.end()));
 }
 
 void AsyncPortal::publish_status(const Request& req) {
@@ -692,25 +650,6 @@ void AsyncPortal::observe_latency(const Request& req) {
   if (latency_hist_) latency_hist_->observe(latency);
   const auto hit = tenant_hists_.find(req.tenant);
   if (hit != tenant_hists_.end() && hit->second) hit->second->observe(latency);
-}
-
-std::size_t AsyncPortal::count_valid(const votable::Table& table,
-                                     std::size_t* invalid) {
-  std::size_t valid = 0;
-  std::size_t bad = 0;
-  const auto valid_col = table.column_index("valid");
-  for (std::size_t i = 0; i < table.num_rows(); ++i) {
-    if (valid_col) {
-      const auto v = table.row(i)[*valid_col].as_bool();
-      if (v && *v) {
-        ++valid;
-        continue;
-      }
-    }
-    ++bad;
-  }
-  if (invalid) *invalid = bad;
-  return valid;
 }
 
 Expected<RequestStatus> AsyncPortal::status(const std::string& id) const {
@@ -756,7 +695,14 @@ const votable::Table* AsyncPortal::result(const std::string& id) const {
   return &req.result;
 }
 
-AsyncPortal::Stats AsyncPortal::stats() const { return stats_; }
+AsyncPortal::Stats AsyncPortal::stats() const {
+  // Evicted memo entries (budget evictions and integrity self-heals) silently
+  // demote future duplicates to full runs; the cache itself counts both.
+  Stats out = stats_;
+  const services::ReplicaCache::Stats memo = memo_cache_->stats();
+  out.memo_evictions = memo.evictions + memo.integrity_mismatches;
+  return out;
+}
 
 Expected<TenantStats> AsyncPortal::tenant_stats(const std::string& name) const {
   const auto it = tenants_.find(name);
@@ -798,7 +744,7 @@ void AsyncPortal::register_metrics(obs::MetricsRegistry& registry) {
         counters["portal.async.memo_hits"] = static_cast<double>(stats_.memo_hits);
         counters["portal.async.coalesced"] = static_cast<double>(stats_.coalesced);
         counters["portal.async.memo_evictions"] =
-            static_cast<double>(stats_.memo_evictions);
+            static_cast<double>(stats().memo_evictions);
         gauges["portal.async.queued"] = static_cast<double>(stats_.queued);
         gauges["portal.async.running"] = static_cast<double>(stats_.running);
         gauges["portal.async.waiting"] = static_cast<double>(stats_.waiting);

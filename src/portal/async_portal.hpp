@@ -18,18 +18,22 @@
 //     starve another's trickle.
 //   * Cross-request virtual-data memoization: identical (cluster, params)
 //     derivations coalesce while in flight (single-flight: followers park
-//     until the leader resolves) and completed catalogs are memoized in a
-//     byte-budgeted services::ReplicaCache over the RLS-backed compute
-//     store, so duplicates re-fetch the materialized catalog instead of
-//     re-deriving it. Degraded (partial/failed) outcomes are never
-//     memoized — chaos stays with the tenant that hit it.
+//     until the leader resolves) and each completed deliverable is memoized
+//     as its serialized VOTable in a byte-budgeted services::ReplicaCache,
+//     served from this portal's host next to /status. Duplicates fetch
+//     exactly the bytes their leader was served instead of re-deriving
+//     them. Degraded (partial/failed) outcomes are never memoized — chaos
+//     stays with the tenant that hit it.
 //
 // Execution model: a discrete-event, stage-interleaved scheduler. step()
 // runs ONE pipeline stage (images / catalog / cutouts / compute / merge) of
 // one tenant's current request synchronously; interleaving across tenants
-// happens at stage granularity. Each tenant runs its requests FIFO through
-// its own portal::Portal (own resilient client, so breaker and quarantine
-// state is tenant-scoped) against the shared compute service + RLS.
+// happens at stage granularity. Each stage is a call to the matching
+// portal::Portal stage method — the same pipeline Portal::run_analysis runs
+// — through the tenant's own Portal (own resilient client, so breaker and
+// quarantine state is tenant-scoped) against the shared compute service +
+// RLS. This class adds only scheduling, admission, fairness, single-flight,
+// the memo, and cancel/expiry checkpoints between stages.
 // Single-threaded by design — drive step()/drain() from one thread.
 #pragma once
 
@@ -63,9 +67,10 @@ const char* to_string(RequestState state);
 struct AsyncPortalConfig {
   services::AdmissionConfig admission;
   services::DrrConfig drr;
-  /// Memo store for completed catalog bytes (keyed by output LFN). Evicted
-  /// entries silently fall back to a full derivation. Small budgets are a
-  /// legitimate configuration — the eviction callback keeps accounting.
+  /// Memo store for completed deliverables' VOTable bytes (keyed by output
+  /// name). Evicted entries silently fall back to a full derivation. Small
+  /// budgets are a legitimate configuration — Stats::memo_evictions keeps
+  /// accounting.
   services::ReplicaCacheConfig memo_cache{8ull << 20, 1};
   /// Admission byte estimate per request (queued-bytes budget accounting).
   std::size_t estimated_request_bytes = 96 * 1024;
@@ -86,7 +91,9 @@ struct AsyncPortalConfig {
   /// so zero-fabric-cost units (local merges, scheduling decisions) still
   /// rotate the round robin.
   double min_stage_charge_ms = 1.0;
-  /// Host serving this portal's status URLs on the fabric.
+  /// Host serving this portal's status URLs and memo hits on the fabric
+  /// (one portal per host: constructing a second on a host that already
+  /// serves /status or /memo aborts).
   std::string host = "portal.nvo.sim";
   /// Base configuration for every tenant's portal (retry/breaker/cutout
   /// mode/poll limit). The tracer inside is also used for request spans.
@@ -216,7 +223,7 @@ class AsyncPortal {
     std::uint64_t compute_cache_hits = 0;  ///< RLS/journal hits at compute
     std::uint64_t memo_hits = 0;           ///< portal memo fast-path serves
     std::uint64_t coalesced = 0;           ///< followers parked on a leader
-    std::uint64_t memo_evictions = 0;
+    std::uint64_t memo_evictions = 0;  ///< memo entries evicted or self-healed
     std::size_t queued = 0;   ///< admitted, waiting in tenant queues
     std::size_t running = 0;
     std::size_t waiting = 0;  ///< parked followers
@@ -224,7 +231,7 @@ class AsyncPortal {
   Stats stats() const;
   services::AdmissionStats admission_stats() const { return admission_.stats(); }
   Expected<TenantStats> tenant_stats(const std::string& name) const;
-  const services::ReplicaCache& memo_cache() const { return memo_cache_; }
+  const services::ReplicaCache& memo_cache() const { return *memo_cache_; }
 
   /// Registers per-tenant and global portal metrics plus request-latency
   /// histograms (global and per registered tenant) under "portal.async.*".
@@ -245,9 +252,7 @@ class AsyncPortal {
     std::string cluster;
     std::string params;
     std::string memo_key;
-    std::string out_name;
-    std::string out_lfn;
-    std::string result_url;
+    std::string out_name;  ///< compute output name; also the memo cache key
     RequestState state = RequestState::kQueued;
     Stage stage = Stage::kStart;
     /// Deadline budget + cancellation token, carried down through federation
@@ -294,10 +299,8 @@ class AsyncPortal {
   void release_admission(Request& req);
   void refresh_activation(Tenant& tenant);
   void memoize(const Request& req);
-  bool memo_ready(const Request& req) const;
   void publish_status(const Request& req);
   void observe_latency(const Request& req);
-  static std::size_t count_valid(const votable::Table& table, std::size_t* invalid);
 
   services::HttpFabric& fabric_;
   services::Federation federation_;
@@ -305,7 +308,8 @@ class AsyncPortal {
   AsyncPortalConfig config_;
   services::AdmissionController admission_;
   services::DeficitRoundRobin drr_;
-  services::ReplicaCache memo_cache_;
+  /// Shared with the /memo route handler, like the status board.
+  std::shared_ptr<services::ReplicaCache> memo_cache_;
   IdGenerator ids_;
   std::vector<ClusterEntry> clusters_;
   std::map<std::string, std::unique_ptr<Tenant>> tenants_;

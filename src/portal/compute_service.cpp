@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <queue>
@@ -31,44 +29,6 @@ double wall_ms_since(const std::chrono::steady_clock::time_point& t0) {
       .count();
 }
 
-// --- checkpoint record codecs ---------------------------------------------
-// The journal stores per-galaxy morphology rows and staged-image
-// registrations as space-separated fields. Doubles are serialized as their
-// 64-bit pattern in hex: a resumed row must be bit-identical to the one the
-// kernel produced, and a decimal round-trip would lose ulps and break the
-// byte-identical-catalog guarantee.
-
-std::string hex_u64(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(v));
-  return buf;
-}
-
-std::string hex_double(double d) { return hex_u64(std::bit_cast<std::uint64_t>(d)); }
-
-std::uint64_t parse_hex_u64(const std::string& s) {
-  return std::strtoull(s.c_str(), nullptr, 16);
-}
-
-double parse_hex_double(const std::string& s) {
-  return std::bit_cast<double>(parse_hex_u64(s));
-}
-
-std::string escape_field(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '%' || c == ' ' || c == '\n' || c == '\r') {
-      char buf[4];
-      std::snprintf(buf, sizeof(buf), "%%%02X", static_cast<unsigned char>(c));
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
 /// Cap on the service-level rolling window of primary stage-in durations
 /// (hedge_history_): old weather ages out, the quantile sort stays cheap.
 constexpr std::size_t kHedgeHistoryLimit = 512;
@@ -83,20 +43,12 @@ double quantile_of(std::vector<double> v, double q) {
   return v[lo] + (v[hi] - v[lo]) * (pos - static_cast<double>(lo));
 }
 
-std::string unescape_field(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    if (s[i] == '%' && i + 2 < s.size()) {
-      out += static_cast<char>(
-          std::strtoul(s.substr(i + 1, 2).c_str(), nullptr, 16));
-      i += 2;
-    } else {
-      out += s[i];
-    }
-  }
-  return out;
-}
+// --- checkpoint record codecs ---------------------------------------------
+// The journal stores per-galaxy morphology rows and staged-image
+// registrations as space-separated fields in the common record codec
+// (common/strings.hpp): a resumed row must be bit-identical to the one the
+// kernel produced, and a decimal round-trip would lose ulps and break the
+// byte-identical-catalog guarantee.
 
 /// Pointers to the 15 doubles of a result, in serialization order.
 /// Templated so the same list serves encode (const) and decode (mutable).
@@ -126,7 +78,7 @@ std::string encode_result(const core::GalMorphResult& r) {
                                          : escape_field(r.params.failure_reason);
   for (const double* d : result_doubles(r)) {
     out += ' ';
-    out += hex_double(*d);
+    append_hex_double(out, *d);
   }
   return out;
 }
@@ -139,7 +91,7 @@ bool decode_result(const std::string& payload, core::GalMorphResult& out) {
   out.params.failure_reason = f[2] == "-" ? std::string() : unescape_field(f[2]);
   const auto slots = result_doubles(out);
   for (std::size_t i = 0; i < slots.size(); ++i) {
-    *slots[i] = parse_hex_double(f[3 + i]);
+    if (!parse_hex_double(f[3 + i], *slots[i])) return false;
   }
   return true;
 }
@@ -320,9 +272,10 @@ Status MorphologyService::process(RequestRecord& record, const votable::Table& i
     journal->for_each("image", [&](const std::string& key, const std::string& payload) {
       if (!starts_with(key, ck)) return;
       const std::vector<std::string> f = split(payload, ' ');
-      if (f.size() != 3) return;
+      std::uint64_t digest = 0;
+      if (f.size() != 3 || !parse_hex_u64(f[2], digest)) return;
       const std::string lfn = key.substr(ck.size());
-      rls_.add(lfn, config_.cache_site, unescape_field(f[0]), parse_hex_u64(f[2]));
+      rls_.add(lfn, config_.cache_site, unescape_field(f[0]), digest);
       grid_.put_file(config_.cache_site, lfn,
                      std::strtoull(f[1].c_str(), nullptr, 10));
     });
@@ -1038,17 +991,6 @@ Expected<MorphologyService::PollResult> MorphologyService::poll(
 const std::string* MorphologyService::result_xml(const std::string& out_lfn) const {
   const auto it = state_->results.find(out_lfn);
   return it == state_->results.end() ? nullptr : &it->second;
-}
-
-Expected<votable::Table> MorphologyService::fetch_result(
-    const std::string& result_url) const {
-  auto response = client_.get(result_url);
-  if (!response.ok()) return response.error();
-  if (response->status != 200) {
-    return Error(ErrorCode::kServiceUnavailable,
-                 format("result fetch returned %d", response->status));
-  }
-  return votable::from_votable_xml(response->body_text());
 }
 
 void MorphologyService::register_metrics(obs::MetricsRegistry& registry) const {

@@ -209,9 +209,6 @@ class MorphologyService {
   };
   Expected<PollResult> poll(const std::string& status_url) const;
 
-  /// Client-side fetch of a completed result.
-  Expected<votable::Table> fetch_result(const std::string& result_url) const;
-
   /// Raw XML bytes of a materialized output VOTable (exactly what /results
   /// serves); nullptr when the LFN is unknown. Byte-identity checks compare
   /// these rather than re-serialized tables.
@@ -264,8 +261,8 @@ class MorphologyService {
   pegasus::ReplicaLocationService& rls_;
   pegasus::TransformationCatalog& tc_;
   ComputeServiceConfig config_;
-  // Mutable: poll/fetch_result are logically const reads but go through the
-  // client's retry/breaker state.
+  // Mutable: poll is a logically const read but goes through the client's
+  // retry/breaker state.
   mutable services::ResilientClient client_;
   IdGenerator ids_;
   vds::ProvenanceCatalog provenance_;

@@ -11,6 +11,7 @@
 #include "services/sia.hpp"
 #include "sky/spatial_index.hpp"
 #include "votable/table_ops.hpp"
+#include "votable/votable_io.hpp"
 
 namespace nvo::portal {
 
@@ -400,8 +401,118 @@ Expected<votable::Table> Portal::attach_cutout_refs(votable::Table catalog,
   if (trace) {
     trace->cutout_query_ms += fabric_.metrics().total_elapsed_ms - before;
     trace->cutout_queries += queries;
+    trace->galaxies = catalog.num_rows();
   }
   return catalog;
+}
+
+Expected<votable::Table> Portal::compute_morphology(const votable::Table& catalog,
+                                                    const std::string& out_name,
+                                                    const services::RequestContext& ctx,
+                                                    PortalTrace* trace) {
+  // Drop rows with no cutout reference (nothing to compute on). The column
+  // is checked, not assumed: a degraded cutout stage surfaces as a status,
+  // never as an unchecked dereference.
+  const auto url_col = catalog.column_index("cutout_url");
+  if (!url_col) {
+    return Error(ErrorCode::kInternal, "cutout stage produced no cutout_url column");
+  }
+  const votable::Table input = votable::select(catalog, [&](const votable::Row& row) {
+    const auto url = row[*url_col].as_string();
+    return url && !url->empty();
+  });
+  if (input.num_rows() == 0) {
+    return Error(ErrorCode::kInvalidArgument,
+                 "no galaxy in " + out_name + " has a cutout reference");
+  }
+
+  // Submit to the compute service and poll asynchronously ("the portal
+  // polls the returned URL until it finds a job completed status message").
+  obs::Span span = obs::start_span(config_.tracer, "portal.compute", "portal");
+  const double before = fabric_.metrics().total_elapsed_ms;
+  auto status_url = compute_.gal_morph_compute(input, out_name, ctx);
+  if (!status_url.ok()) return status_url.error();
+  // The unique request id rides in the status URL ("...?id=req-N"); keep it
+  // so the service trace can be found again after other requests interleave.
+  std::string request_id;
+  if (const auto pos = status_url->find("id="); pos != std::string::npos) {
+    request_id = status_url->substr(pos + 3);
+  }
+  if (trace) trace->compute_request_id = request_id;
+  std::size_t polls = 0;
+  std::string result_url;
+  for (int i = 0; i < config_.poll_limit && result_url.empty(); ++i) {
+    auto poll = compute_.poll(status_url.value());
+    if (!poll.ok()) return poll.error();
+    ++polls;
+    if (trace) ++trace->polls;
+    const std::string messages = join(poll->messages, "; ");
+    if (poll->state == "completed") {
+      result_url = poll->result_url;
+    } else if (poll->state == "cancelled") {
+      return Error(ErrorCode::kCancelled, "compute cancelled: " + messages);
+    } else if (poll->state == "expired") {
+      return Error(ErrorCode::kDeadlineExceeded, "compute deadline exceeded: " + messages);
+    } else if (poll->state == "failed") {
+      return Error(ErrorCode::kComputeFailed, "compute service failed: " + messages);
+    }
+  }
+  if (result_url.empty()) {
+    return Error(ErrorCode::kTimeout, "compute service never completed");
+  }
+  auto morphology = fetch_catalog(result_url);
+  if (!morphology.ok()) return morphology.error();
+  // Simulated compute latency: the polling and fetch round-trips recorded
+  // by the fabric plus the service's own accounting (staging + makespan).
+  if (trace) {
+    trace->compute_wait_ms += fabric_.metrics().total_elapsed_ms - before;
+    if (const ServiceTrace* st = compute_.trace(request_id)) {
+      trace->compute_wait_ms += st->total_sim_seconds * 1000.0;
+    }
+  }
+  span.count("polls", static_cast<double>(polls));
+  span.count("galaxies", static_cast<double>(input.num_rows()));
+  return morphology;
+}
+
+Expected<votable::Table> Portal::merge_morphology(const votable::Table& catalog,
+                                                  const votable::Table& morphology,
+                                                  const std::string& cluster_name,
+                                                  PortalTrace* trace) {
+  obs::Span span = obs::start_span(config_.tracer, "portal.merge", "portal");
+  const auto t0 = std::chrono::steady_clock::now();
+  auto merged = votable::join(catalog, morphology, "id", "id", votable::JoinKind::kLeft);
+  if (!merged.ok()) return merged.error();
+  merged->name = cluster_name + "_analysis";
+  if (trace) {
+    trace->merge_ms += wall_ms_since(t0);
+    trace->tally_validity(merged.value());
+  }
+  return merged;
+}
+
+Expected<votable::Table> Portal::fetch_catalog(const std::string& url) {
+  auto response = client_.get(url);
+  if (!response.ok()) return response.error();
+  if (response->status != 200) {
+    return Error(ErrorCode::kServiceUnavailable,
+                 format("catalog fetch returned %d for %s", response->status, url.c_str()));
+  }
+  return votable::from_votable_xml(response->body_text());
+}
+
+void PortalTrace::tally_validity(const votable::Table& catalog) {
+  valid = 0;
+  invalid = 0;
+  const auto valid_col = catalog.column_index("valid");
+  for (std::size_t i = 0; i < catalog.num_rows(); ++i) {
+    const auto v = valid_col ? catalog.row(i)[*valid_col].as_bool() : std::nullopt;
+    if (v && *v) {
+      ++valid;
+    } else {
+      ++invalid;
+    }
+  }
 }
 
 Portal::AnalysisOutcome Portal::run_analysis(const std::string& cluster_name) {
@@ -418,94 +529,16 @@ Portal::AnalysisOutcome Portal::run_analysis(const std::string& cluster_name) {
   auto images = find_large_scale_images(cluster_name, &trace);
   if (!images.ok()) return fail(images.error());
   outcome.images = std::move(images.value());
-
   auto catalog = build_galaxy_catalog(cluster_name, &trace);
   if (!catalog.ok()) return fail(catalog.error());
-
   auto with_refs = attach_cutout_refs(std::move(catalog.value()), cluster_name, &trace);
   if (!with_refs.ok()) return fail(with_refs.error());
-  trace.galaxies = with_refs->num_rows();
-
-  // Drop rows with no cutout reference (nothing to compute on). The column
-  // is checked, not assumed: a degraded cutout stage surfaces as a status,
-  // never as an unchecked dereference.
-  const auto url_col = with_refs->column_index("cutout_url");
-  if (!url_col) {
-    return fail(Error(ErrorCode::kInternal,
-                      "cutout stage produced no cutout_url column"));
-  }
-  votable::Table compute_input =
-      votable::select(with_refs.value(), [&](const votable::Row& row) {
-        const auto url = row[*url_col].as_string();
-        return url && !url->empty();
-      });
-  if (compute_input.num_rows() == 0) {
-    return fail(Error(ErrorCode::kInvalidArgument,
-                      "no galaxy in " + cluster_name + " has a cutout reference"));
-  }
-
-  // Submit to the compute service and poll asynchronously ("the portal
-  // polls the returned URL until it finds a job completed status message").
-  obs::Span compute_span = obs::start_span(config_.tracer, "portal.compute", "portal");
-  const double before_compute = fabric_.metrics().total_elapsed_ms;
-  auto status_url = compute_.gal_morph_compute(compute_input, cluster_name);
-  if (!status_url.ok()) return fail(status_url.error());
-  // The unique request id rides in the status URL ("...?id=req-N"); keep it
-  // so the service trace can be found again after other requests interleave.
-  if (const auto pos = status_url->find("id="); pos != std::string::npos) {
-    trace.compute_request_id = status_url->substr(pos + 3);
-  }
-  std::string result_url;
-  for (int i = 0; i < config_.poll_limit; ++i) {
-    auto poll = compute_.poll(status_url.value());
-    if (!poll.ok()) return fail(poll.error());
-    ++trace.polls;
-    if (poll->state == "completed") {
-      result_url = poll->result_url;
-      break;
-    }
-    if (poll->state == "failed") {
-      return fail(Error(ErrorCode::kComputeFailed,
-                        "compute service failed: " + join(poll->messages, "; ")));
-    }
-  }
-  if (result_url.empty()) {
-    return fail(Error(ErrorCode::kTimeout, "compute service never completed"));
-  }
-  auto morphology = compute_.fetch_result(result_url);
+  auto morphology = compute_morphology(with_refs.value(), cluster_name, {}, &trace);
   if (!morphology.ok()) return fail(morphology.error());
-  // Simulated compute latency: the service's own accounting (staging +
-  // makespan) plus the polling round-trips recorded by the fabric.
-  trace.compute_wait_ms += fabric_.metrics().total_elapsed_ms - before_compute;
-  if (const ServiceTrace* st = compute_.trace(trace.compute_request_id)) {
-    trace.compute_wait_ms += st->total_sim_seconds * 1000.0;
-  }
-  compute_span.count("polls", static_cast<double>(trace.polls));
-  compute_span.count("galaxies", static_cast<double>(compute_input.num_rows()));
-  compute_span.end();
-
-  // Final merge: morphology columns joined back onto the full catalog.
-  obs::Span merge_span = obs::start_span(config_.tracer, "portal.merge", "portal");
-  const auto t0 = std::chrono::steady_clock::now();
-  auto merged = votable::join(with_refs.value(), morphology.value(), "id", "id",
-                              votable::JoinKind::kLeft);
+  auto merged =
+      merge_morphology(with_refs.value(), morphology.value(), cluster_name, &trace);
   if (!merged.ok()) return fail(merged.error());
-  trace.merge_ms = wall_ms_since(t0);
-
-  const auto valid_col = merged->column_index("valid");
-  for (std::size_t i = 0; i < merged->num_rows(); ++i) {
-    if (valid_col) {
-      const auto v = merged->row(i)[*valid_col].as_bool();
-      if (v && *v) {
-        ++trace.valid;
-        continue;
-      }
-    }
-    ++trace.invalid;
-  }
-  merge_span.end();
   outcome.catalog = std::move(merged.value());
-  outcome.catalog.name = cluster_name + "_analysis";
   root.count("galaxies", static_cast<double>(trace.galaxies));
   root.count("valid", static_cast<double>(trace.valid));
   root.count("invalid", static_cast<double>(trace.invalid));

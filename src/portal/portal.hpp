@@ -6,6 +6,11 @@
 // morphology back into the catalog. Both the paper's per-galaxy SIA loop
 // and the batched single-cone variant it wishes for are implemented, as is
 // the sync-vs-async submission distinction of §4.3.1 item 2.
+//
+// Portal owns the derivation pipeline: its five stage methods are the only
+// implementation of it. run_analysis() calls them in order; the async
+// front-end (portal/async_portal.hpp) steps the same methods one per
+// scheduling unit.
 #pragma once
 
 #include <string>
@@ -97,6 +102,10 @@ struct PortalTrace {
   std::uint64_t breaker_trips = 0;
   std::uint64_t failovers = 0;
 
+  /// Counts the delivered catalog's valid and invalid morphology rows (a
+  /// row without a true `valid` cell is invalid).
+  void tally_validity(const votable::Table& catalog);
+
   double total_ms() const {
     return image_search_ms + catalog_build_ms + cutout_query_ms + compute_wait_ms +
            merge_ms;
@@ -143,7 +152,31 @@ class Portal {
                                               const std::string& cluster_name,
                                               PortalTrace* trace = nullptr);
 
-  /// Full §2-strategy run: images, catalog, cutouts, compute, merge.
+  /// Stage: the compute web service (§4.3, Fig. 6) over every catalog row
+  /// with a cutout reference. Submits them as `out_name`, polls the status
+  /// URL until the request completes, and fetches the output VOTable through
+  /// this portal's client. `ctx` carries the caller's deadline budget and
+  /// cancellation token into the service, whose "cancelled" and "expired"
+  /// states come back as kCancelled and kDeadlineExceeded errors. The
+  /// trace's compute_wait_ms includes the service's own simulated staging
+  /// and workflow time, which the fabric clock does not see.
+  Expected<votable::Table> compute_morphology(const votable::Table& catalog,
+                                              const std::string& out_name,
+                                              const services::RequestContext& ctx = {},
+                                              PortalTrace* trace = nullptr);
+
+  /// Stage: the final merge. Left-joins the morphology onto the catalog on
+  /// `id`, names the result `<cluster>_analysis` and tallies its valid and
+  /// invalid rows into the trace.
+  Expected<votable::Table> merge_morphology(const votable::Table& catalog,
+                                            const votable::Table& morphology,
+                                            const std::string& cluster_name,
+                                            PortalTrace* trace = nullptr);
+
+  /// Fetches a served catalog VOTable through this portal's client.
+  Expected<votable::Table> fetch_catalog(const std::string& url);
+
+  /// Full §2-strategy run: the five stages above, in order.
   ///
   /// Unlike an Expected<...>, the outcome always carries the PortalTrace —
   /// on failure the per-archive ArchiveStatus entries accumulated up to the

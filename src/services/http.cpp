@@ -7,35 +7,6 @@
 
 namespace nvo::services {
 
-namespace {
-
-int hex_value(char c) {
-  if (c >= '0' && c <= '9') return c - '0';
-  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-  return -1;
-}
-
-std::string url_decode(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    if (s[i] == '%' && i + 2 < s.size()) {
-      const int hi = hex_value(s[i + 1]);
-      const int lo = hex_value(s[i + 2]);
-      if (hi >= 0 && lo >= 0) {
-        out += static_cast<char>(hi * 16 + lo);
-        i += 2;
-        continue;
-      }
-    }
-    out += s[i] == '+' ? ' ' : s[i];
-  }
-  return out;
-}
-
-}  // namespace
-
 std::string url_encode(const std::string& s) {
   std::string out;
   for (char c : s) {
@@ -92,9 +63,10 @@ Expected<Url> Url::parse(const std::string& text) {
     if (pair.empty()) continue;
     const std::size_t eq = pair.find('=');
     if (eq == std::string::npos) {
-      url.query[url_decode(pair)] = "";
+      url.query[unescape_field(pair, true)] = "";
     } else {
-      url.query[url_decode(pair.substr(0, eq))] = url_decode(pair.substr(eq + 1));
+      url.query[unescape_field(pair.substr(0, eq), true)] =
+          unescape_field(pair.substr(eq + 1), true);
     }
   }
   return url;

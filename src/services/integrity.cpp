@@ -5,12 +5,7 @@
 namespace nvo::services::integrity {
 
 std::uint64_t content_digest(const std::uint8_t* data, std::size_t n) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= data[i];
-    h *= 0x100000001b3ull;
-  }
-  return h;
+  return hash64(reinterpret_cast<const char*>(data), n);
 }
 
 std::uint64_t content_digest(const std::vector<std::uint8_t>& bytes) {

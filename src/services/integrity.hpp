@@ -24,8 +24,9 @@
 
 namespace nvo::services::integrity {
 
-/// FNV-1a over raw bytes. Not cryptographic — the threat model is random
-/// corruption (bit flips, truncation, stale replays), not an adversary.
+/// FNV-1a over raw bytes (nvo::hash64). Not cryptographic — the threat
+/// model is random corruption (bit flips, truncation, stale replays), not
+/// an adversary.
 std::uint64_t content_digest(const std::uint8_t* data, std::size_t n);
 std::uint64_t content_digest(const std::vector<std::uint8_t>& bytes);
 

@@ -163,13 +163,13 @@ votable::Table synthetic_merged(int n, double invalid_fraction = 0.1) {
   using votable::Field;
   using votable::Value;
   votable::Table t({
-      Field{"id", DataType::kString},
-      Field{"ra", DataType::kDouble},
-      Field{"dec", DataType::kDouble},
-      Field{"valid", DataType::kBool},
-      Field{"concentration", DataType::kDouble},
-      Field{"asymmetry", DataType::kDouble},
-      Field{"surface_brightness", DataType::kDouble},
+      Field{"id", DataType::kString, "", "", ""},
+      Field{"ra", DataType::kDouble, "", "", ""},
+      Field{"dec", DataType::kDouble, "", "", ""},
+      Field{"valid", DataType::kBool, "", "", ""},
+      Field{"concentration", DataType::kDouble, "", "", ""},
+      Field{"asymmetry", DataType::kDouble, "", "", ""},
+      Field{"surface_brightness", DataType::kDouble, "", "", ""},
   });
   const sky::Equatorial center{180.0, 0.0};
   Rng rng(11);
@@ -237,7 +237,7 @@ TEST(Dressler, NoRelationInShuffledCatalog) {
 }
 
 TEST(Dressler, RequiresColumnsAndEnoughGalaxies) {
-  votable::Table missing({votable::Field{"id", votable::DataType::kString}});
+  votable::Table missing({votable::Field{"id", votable::DataType::kString, "", "", ""}});
   EXPECT_FALSE(analyze_cluster(missing, {0, 0}).ok());
   // Too few valid rows.
   const votable::Table tiny = synthetic_merged(5);

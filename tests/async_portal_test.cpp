@@ -17,6 +17,7 @@
 #include "services/admission.hpp"
 #include "services/federation.hpp"
 #include "sim/universe.hpp"
+#include "votable/votable_io.hpp"
 
 namespace nvo::portal {
 namespace {
@@ -562,6 +563,73 @@ TEST(AsyncPortal, MemoizationCoalescesDuplicateDerivations) {
   EXPECT_GT(stats.memo_hits, 0u);
   EXPECT_GT(stats.coalesced, 0u);
   EXPECT_GT(portal->memo_cache().stats().bytes, 0u);
+}
+
+TEST(AsyncPortal, MemoServesTheLeadersCatalogByteForByte) {
+  analysis::Campaign campaign(small_campaign());
+  auto portal = make_portal(campaign);
+  for (const char* t : {"alice", "bob", "carol"}) portal->add_tenant(t);
+
+  // Duplicates submitted while the derivation runs coalesce behind its
+  // leader; the one submitted after the drain is a direct memo hit.
+  const std::string cluster = cluster_name(campaign, 0);
+  std::vector<std::string> ids;
+  for (int round = 0; round < 2; ++round) {
+    for (const char* t : {"alice", "bob", "carol"}) {
+      ids.push_back(portal->submit(t, cluster).id);
+    }
+  }
+  portal->drain();
+  ids.push_back(portal->submit("bob", cluster).id);
+  portal->drain();
+
+  std::vector<RequestStatus> statuses;
+  for (const std::string& id : ids) {
+    const auto status = portal->status(id);
+    ASSERT_TRUE(status.ok());
+    ASSERT_EQ(status->state, RequestState::kDone) << id;
+    statuses.push_back(status.value());
+  }
+  std::size_t coalesced = 0, direct = 0;
+  for (const RequestStatus& served : statuses) {
+    if (!served.memo_hit) continue;
+    ++(served.coalesced ? coalesced : direct);
+    // The key's leader: the latest derivation that finished before this
+    // request started.
+    const RequestStatus* leader = nullptr;
+    for (const RequestStatus& d : statuses) {
+      if (!d.memo_hit && d.finish_ms <= served.start_ms &&
+          (!leader || d.finish_ms > leader->finish_ms)) {
+        leader = &d;
+      }
+    }
+    ASSERT_NE(leader, nullptr) << served.id;
+    const votable::Table* led = portal->result(leader->id);
+    const votable::Table* got = portal->result(served.id);
+    ASSERT_NE(led, nullptr);
+    ASSERT_NE(got, nullptr);
+    EXPECT_EQ(led->name, cluster + "_analysis");
+    EXPECT_EQ(votable::to_votable_xml(*got), votable::to_votable_xml(*led))
+        << served.id << " has " << got->num_columns() << " columns, its leader "
+        << leader->id << " " << led->num_columns();
+    EXPECT_EQ(served.galaxies, leader->galaxies);
+    EXPECT_EQ(served.valid, leader->valid);
+  }
+  EXPECT_GT(coalesced, 0u);
+  EXPECT_GT(direct, 0u);
+}
+
+TEST(AsyncPortalDeathTest, SecondPortalOnTheSameHostIsRefused) {
+  // The fabric dispatches a host+path to its first route, so a second
+  // portal on the host would be served the first one's status board and
+  // memo. The constructor refuses it loudly instead.
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  analysis::Campaign campaign(small_campaign());
+  auto first = make_portal(campaign);
+  EXPECT_DEATH(make_portal(campaign), "already serves /status");
+  AsyncPortalConfig elsewhere;
+  elsewhere.host = "portal2.nvo.sim";
+  EXPECT_NE(make_portal(campaign, elsewhere), nullptr);
 }
 
 TEST(AsyncPortal, MemoEvictionFallsBackToFullRun) {

@@ -2,6 +2,7 @@
 // string utilities, and id generation.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <set>
 #include <thread>
@@ -266,6 +267,25 @@ TEST(Strings, ReplaceAll) {
   EXPECT_EQ(replace_all("a'b'c", "'", "''"), "a''b''c");
   EXPECT_EQ(replace_all("aaa", "aa", "b"), "ba");
   EXPECT_EQ(replace_all("none", "x", "y"), "none");
+}
+
+TEST(Strings, RecordCodecRoundTripsBitExactly) {
+  std::string line;
+  append_hex_double(line, -0.1);
+  EXPECT_EQ(line, "bfb999999999999a");
+  double back = 0.0;
+  ASSERT_TRUE(parse_hex_double(line, back));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(back), std::bit_cast<std::uint64_t>(-0.1));
+  EXPECT_EQ(hex_u64(0xabcull), "0000000000000abc");
+  std::uint64_t v = 0;
+  EXPECT_FALSE(parse_hex_u64("12 ", v));  // the whole field, or nothing
+  EXPECT_FALSE(parse_hex_u64("", v));
+
+  const std::string raw = "a b%c\r\nd\t\x01\xe9+";
+  EXPECT_EQ(escape_field(raw), "a%20b%25c%0D%0Ad%09%01\xe9+");  // high bytes verbatim
+  EXPECT_EQ(unescape_field(escape_field(raw)), raw);
+  EXPECT_EQ(unescape_field("100%zz%4"), "100%zz%4");  // malformed: verbatim
+  EXPECT_EQ(unescape_field("a+b%2B", true), "a b+");   // URL query decoding
 }
 
 // ---------------------------------------------------------------------------

@@ -71,8 +71,12 @@ TEST(Mds, SnapshotDerivesFromGrid) {
   ASSERT_EQ(records.size(), 3u);
   for (const auto& r : records) {
     EXPECT_DOUBLE_EQ(r.timestamp_s, 42.0);
-    if (r.site == "isi") EXPECT_EQ(r.busy_slots, 3);
-    if (r.site == "uwisc") EXPECT_EQ(r.queued_jobs, 7);
+    if (r.site == "isi") {
+      EXPECT_EQ(r.busy_slots, 3);
+    }
+    if (r.site == "uwisc") {
+      EXPECT_EQ(r.queued_jobs, 7);
+    }
   }
 }
 
@@ -330,14 +334,15 @@ class TableServiceTest : public ::testing::Test {
   TableServiceTest() : svc_(services::register_table_service(fabric_)) {
     // Host two operand tables as static VOTable documents.
     left_.name = "left";
-    left_ = votable::Table({votable::Field{"id", votable::DataType::kString},
-                            votable::Field{"mag", votable::DataType::kDouble}});
+    using votable::DataType;
+    left_ = votable::Table({votable::Field{"id", DataType::kString, "", "", ""},
+                            votable::Field{"mag", DataType::kDouble, "", "", ""}});
     (void)left_.append_row({votable::Value::of_string("g1"),
                             votable::Value::of_double(21.0)});
     (void)left_.append_row({votable::Value::of_string("g2"),
                             votable::Value::of_double(19.5)});
-    right_ = votable::Table({votable::Field{"id", votable::DataType::kString},
-                             votable::Field{"asym", votable::DataType::kDouble}});
+    right_ = votable::Table({votable::Field{"id", DataType::kString, "", "", ""},
+                             votable::Field{"asym", DataType::kDouble, "", "", ""}});
     (void)right_.append_row({votable::Value::of_string("g1"),
                              votable::Value::of_double(0.2)});
     const std::string left_xml = votable::to_votable_xml(left_);
@@ -404,9 +409,9 @@ TEST_F(TableServiceTest, ProtocolErrors) {
 // ---------------------------------------------------------------------------
 
 votable::Table morph_table() {
-  votable::Table t({votable::Field{"id", votable::DataType::kString},
-                    votable::Field{"C", votable::DataType::kDouble},
-                    votable::Field{"A", votable::DataType::kDouble}});
+  votable::Table t({votable::Field{"id", votable::DataType::kString, "", "", ""},
+                    votable::Field{"C", votable::DataType::kDouble, "", "", ""},
+                    votable::Field{"A", votable::DataType::kDouble, "", "", ""}});
   (void)t.append_row({votable::Value::of_string("e1"), votable::Value::of_double(4.1),
                       votable::Value::of_double(0.03)});
   (void)t.append_row({votable::Value::of_string("s1"), votable::Value::of_double(2.5),

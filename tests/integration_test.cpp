@@ -90,7 +90,7 @@ TEST(Integration, BatchedCutoutModeProducesSameScience) {
   per_galaxy.cutout_mode = portal::CutoutQueryMode::kPerGalaxy;
   CampaignConfig coalesced = small_config();  // kCoalesced is the default
   CampaignConfig batched = small_config();
-  batched.batched_cutouts = true;
+  batched.cutout_mode = portal::CutoutQueryMode::kWideCone;
   Campaign a(per_galaxy);
   Campaign c(coalesced);
   Campaign b(batched);

@@ -19,9 +19,9 @@ votable::Table tiny_catalog(int n = 3) {
   using votable::DataType;
   using votable::Field;
   using votable::Value;
-  votable::Table t({Field{"id", DataType::kString},
-                    Field{"redshift", DataType::kDouble},
-                    Field{"cutout_url", DataType::kString}});
+  votable::Table t({Field{"id", DataType::kString, "", "", ""},
+                    Field{"redshift", DataType::kDouble, "", "", ""},
+                    Field{"cutout_url", DataType::kString, "", "", ""}});
   for (int i = 0; i < n; ++i) {
     (void)t.append_row({Value::of_string("CL_G" + std::to_string(i)),
                         Value::of_double(0.1 + 0.001 * i),
@@ -42,7 +42,7 @@ TEST(Transforms, UrlListExtraction) {
 }
 
 TEST(Transforms, UrlListRequiresColumn) {
-  votable::Table t({votable::Field{"id", votable::DataType::kString}});
+  votable::Table t({votable::Field{"id", votable::DataType::kString, "", "", ""}});
   EXPECT_FALSE(extract_url_list(t).ok());
 }
 
@@ -86,7 +86,7 @@ TEST(Transforms, CatalogToVdlPerGalaxyRedshift) {
 }
 
 TEST(Transforms, EmptyCatalogRejected) {
-  votable::Table empty({votable::Field{"id", votable::DataType::kString}});
+  votable::Table empty({votable::Field{"id", votable::DataType::kString, "", "", ""}});
   EXPECT_FALSE(catalog_to_vdl(empty, "CL", core::GalMorphArgs{}).ok());
 }
 
@@ -128,7 +128,7 @@ TEST_F(PortalFixture, ServiceProtocolFullCycle) {
   ASSERT_FALSE(poll->result_url.empty());
   EXPECT_FALSE(poll->messages.empty());
 
-  auto result = service.fetch_result(poll->result_url);
+  auto result = campaign_.portal().fetch_catalog(poll->result_url);
   ASSERT_TRUE(result.ok()) << result.error().to_string();
   EXPECT_EQ(result->num_rows(), with_refs->num_rows());
   ASSERT_TRUE(result->column_index("valid").has_value());
@@ -170,14 +170,14 @@ TEST_F(PortalFixture, SecondRequestIsCacheHit) {
   auto poll = service.poll(*second);
   ASSERT_TRUE(poll.ok());
   EXPECT_EQ(poll->state, "completed");
-  auto result = service.fetch_result(poll->result_url);
+  auto result = campaign_.portal().fetch_catalog(poll->result_url);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->num_rows(), with_refs->num_rows());
 }
 
 TEST_F(PortalFixture, ServiceRejectsBadInput) {
   MorphologyService& service = campaign_.compute_service();
-  votable::Table no_urls({votable::Field{"id", votable::DataType::kString}});
+  votable::Table no_urls({votable::Field{"id", votable::DataType::kString, "", "", ""}});
   (void)no_urls.append_row({votable::Value::of_string("x")});
   auto url = service.gal_morph_compute(no_urls, "BAD1");
   ASSERT_TRUE(url.ok());  // async: errors surface via the status URL
@@ -246,7 +246,7 @@ TEST_F(PortalFixture, CutoutRefsAgreeAcrossQueryModes) {
 
   // Wide-cone portal: a single cluster-wide query.
   analysis::CampaignConfig batched_config = make_config();
-  batched_config.batched_cutouts = true;
+  batched_config.cutout_mode = portal::CutoutQueryMode::kWideCone;
   analysis::Campaign batched(batched_config);
   PortalTrace batched_trace;
   auto catalog2 = batched.portal().build_galaxy_catalog(cluster);
@@ -330,7 +330,7 @@ TEST_F(PortalFixture, CutoutArchiveOutageYieldsInvalidRowsNotFailure) {
   const ServiceTrace* trace = service.last_trace();
   EXPECT_EQ(trace->valid_results, 0u);
   EXPECT_EQ(trace->invalid_results, trace->galaxies);
-  auto result = service.fetch_result(poll->result_url);
+  auto result = campaign_.portal().fetch_catalog(poll->result_url);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->num_rows(), with_refs->num_rows());
   for (std::size_t i = 0; i < result->num_rows(); ++i) {

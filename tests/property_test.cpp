@@ -142,8 +142,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, VoTableRoundTrip, ::testing::Range(1, 13));
 votable::Table random_keyed_table(Rng& rng, const std::string& prefix, int rows,
                                   int key_space) {
   using votable::DataType;
-  votable::Table t({votable::Field{"k", DataType::kLong},
-                    votable::Field{prefix + "_v", DataType::kDouble}});
+  votable::Table t({votable::Field{"k", DataType::kLong, "", "", ""},
+                    votable::Field{prefix + "_v", DataType::kDouble, "", "", ""}});
   for (int i = 0; i < rows; ++i) {
     (void)t.append_row({votable::Value::of_long(
                             static_cast<long long>(rng.uniform_index(key_space))),
@@ -186,8 +186,8 @@ TEST_P(JoinProperties, InnerSubsetOfLeftAndCountsConsistent) {
 TEST_P(JoinProperties, SelfJoinOnUniqueKeyIsIdentitySized) {
   Rng rng(static_cast<std::uint64_t>(GetParam()) * 104729);
   using votable::DataType;
-  votable::Table t({votable::Field{"k", DataType::kLong},
-                    votable::Field{"v", DataType::kDouble}});
+  votable::Table t({votable::Field{"k", DataType::kLong, "", "", ""},
+                    votable::Field{"v", DataType::kDouble, "", "", ""}});
   const int n = 5 + static_cast<int>(rng.uniform_index(20));
   for (int i = 0; i < n; ++i) {
     (void)t.append_row(
@@ -439,7 +439,9 @@ TEST_P(VdlRoundTrip, PrintedDocumentsReparseIdentically) {
       const vds::ActualArg& b = back.bindings.at(formal);
       EXPECT_EQ(b.is_file, actual.is_file);
       EXPECT_EQ(b.value, actual.value);
-      if (actual.is_file) EXPECT_EQ(b.direction, actual.direction);
+      if (actual.is_file) {
+        EXPECT_EQ(b.direction, actual.direction);
+      }
     }
     EXPECT_EQ(back.input_files(), orig.input_files());
     EXPECT_EQ(back.output_files(), orig.output_files());

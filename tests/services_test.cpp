@@ -200,9 +200,9 @@ votable::Table position_catalog() {
   using votable::DataType;
   using votable::Field;
   using votable::Value;
-  votable::Table t({Field{"id", DataType::kString},
-                    Field{"ra", DataType::kDouble},
-                    Field{"dec", DataType::kDouble}});
+  votable::Table t({Field{"id", DataType::kString, "", "", ""},
+                    Field{"ra", DataType::kDouble, "", "", ""},
+                    Field{"dec", DataType::kDouble, "", "", ""}});
   (void)t.append_row({Value::of_string("near"), Value::of_double(180.0),
                       Value::of_double(0.05)});
   (void)t.append_row({Value::of_string("far"), Value::of_double(185.0),

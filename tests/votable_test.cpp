@@ -110,14 +110,15 @@ TEST(Value, ParseByType) {
 }
 
 TEST(Table, AppendRowArityChecked) {
-  Table t({Field{"a", DataType::kDouble}, Field{"b", DataType::kString}});
+  Table t({Field{"a", DataType::kDouble, "", "", ""},
+           Field{"b", DataType::kString, "", "", ""}});
   EXPECT_TRUE(t.append_row({Value::of_double(1), Value::of_string("x")}).ok());
   EXPECT_FALSE(t.append_row({Value::of_double(1)}).ok());
   EXPECT_EQ(t.num_rows(), 1u);
 }
 
 TEST(Table, AddColumnBackfillsNull) {
-  Table t({Field{"a", DataType::kDouble}});
+  Table t({Field{"a", DataType::kDouble, "", "", ""}});
   (void)t.append_row({Value::of_double(1)});
   t.add_column({"b", DataType::kString, "", "", ""});
   EXPECT_TRUE(t.row(0)[1].is_null());
@@ -125,7 +126,7 @@ TEST(Table, AddColumnBackfillsNull) {
 }
 
 TEST(Table, CellAccessByName) {
-  Table t({Field{"a", DataType::kDouble}});
+  Table t({Field{"a", DataType::kDouble, "", "", ""}});
   (void)t.append_row({Value::of_double(3)});
   EXPECT_DOUBLE_EQ(t.cell(0, "a").as_double().value(), 3.0);
   EXPECT_TRUE(t.cell(0, "missing").is_null());
@@ -173,7 +174,7 @@ TEST(VoTable, RoundTrip) {
 }
 
 TEST(VoTable, HeaderOnlyTable) {
-  Table t({Field{"a", DataType::kDouble}});
+  Table t({Field{"a", DataType::kDouble, "", "", ""}});
   auto parsed = from_votable_xml(to_votable_xml(t));
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed->num_rows(), 0u);
@@ -207,7 +208,8 @@ TEST(VoTable, FileRoundTrip) {
 // ---------------------------------------------------------------------------
 
 Table left_table() {
-  Table t({Field{"id", DataType::kString}, Field{"ra", DataType::kDouble}});
+  Table t({Field{"id", DataType::kString, "", "", ""},
+           Field{"ra", DataType::kDouble, "", "", ""}});
   t.name = "left";
   (void)t.append_row({Value::of_string("a"), Value::of_double(1)});
   (void)t.append_row({Value::of_string("b"), Value::of_double(2)});
@@ -216,8 +218,9 @@ Table left_table() {
 }
 
 Table right_table() {
-  Table t({Field{"key", DataType::kString}, Field{"ra", DataType::kDouble},
-           Field{"v", DataType::kLong}});
+  Table t({Field{"key", DataType::kString, "", "", ""},
+           Field{"ra", DataType::kDouble, "", "", ""},
+           Field{"v", DataType::kLong, "", "", ""}});
   t.name = "right";
   (void)t.append_row({Value::of_string("a"), Value::of_double(10), Value::of_long(1)});
   (void)t.append_row({Value::of_string("c"), Value::of_double(30), Value::of_long(3)});
@@ -255,9 +258,10 @@ TEST(TableOps, JoinMissingKeyColumnErrors) {
 }
 
 TEST(TableOps, JoinNullKeysNeverMatch) {
-  Table l({Field{"id", DataType::kString}});
+  Table l({Field{"id", DataType::kString, "", "", ""}});
   (void)l.append_row({Value()});
-  Table r({Field{"id", DataType::kString}, Field{"x", DataType::kLong}});
+  Table r({Field{"id", DataType::kString, "", "", ""},
+           Field{"x", DataType::kLong, "", "", ""}});
   (void)r.append_row({Value(), Value::of_long(1)});
   auto j = join(l, r, "id", "id", JoinKind::kInner);
   ASSERT_TRUE(j.ok());
@@ -266,9 +270,10 @@ TEST(TableOps, JoinNullKeysNeverMatch) {
 
 TEST(TableOps, JoinCoercesNumericKeyText) {
   // A long 42 in one catalog matches the string "42" in another.
-  Table l({Field{"k", DataType::kLong}});
+  Table l({Field{"k", DataType::kLong, "", "", ""}});
   (void)l.append_row({Value::of_long(42)});
-  Table r({Field{"k", DataType::kString}, Field{"x", DataType::kLong}});
+  Table r({Field{"k", DataType::kString, "", "", ""},
+           Field{"x", DataType::kLong, "", "", ""}});
   (void)r.append_row({Value::of_string("42"), Value::of_long(7)});
   auto j = join(l, r, "k", "k");
   ASSERT_TRUE(j.ok());
@@ -276,9 +281,11 @@ TEST(TableOps, JoinCoercesNumericKeyText) {
 }
 
 TEST(TableOps, VstackReordersColumnsByName) {
-  Table top({Field{"a", DataType::kLong}, Field{"b", DataType::kString}});
+  Table top({Field{"a", DataType::kLong, "", "", ""},
+             Field{"b", DataType::kString, "", "", ""}});
   (void)top.append_row({Value::of_long(1), Value::of_string("x")});
-  Table bottom({Field{"b", DataType::kString}, Field{"a", DataType::kLong}});
+  Table bottom({Field{"b", DataType::kString, "", "", ""},
+                Field{"a", DataType::kLong, "", "", ""}});
   (void)bottom.append_row({Value::of_string("y"), Value::of_long(2)});
   auto v = vstack(top, bottom);
   ASSERT_TRUE(v.ok());
@@ -288,10 +295,10 @@ TEST(TableOps, VstackReordersColumnsByName) {
 }
 
 TEST(TableOps, VstackRejectsSchemaMismatch) {
-  Table top({Field{"a", DataType::kLong}});
-  Table missing({Field{"z", DataType::kLong}});
+  Table top({Field{"a", DataType::kLong, "", "", ""}});
+  Table missing({Field{"z", DataType::kLong, "", "", ""}});
   EXPECT_FALSE(vstack(top, missing).ok());
-  Table wrong_type({Field{"a", DataType::kString}});
+  Table wrong_type({Field{"a", DataType::kString, "", "", ""}});
   EXPECT_FALSE(vstack(top, wrong_type).ok());
 }
 
@@ -303,7 +310,7 @@ TEST(TableOps, SelectFilters) {
 }
 
 TEST(TableOps, SortAscendingDescendingNullsLast) {
-  Table t({Field{"x", DataType::kDouble}});
+  Table t({Field{"x", DataType::kDouble, "", "", ""}});
   (void)t.append_row({Value::of_double(3)});
   (void)t.append_row({Value()});
   (void)t.append_row({Value::of_double(1)});

@@ -26,8 +26,8 @@
 # And the portal lane (bench_portal -> BENCH_portal.json): the multi-tenant
 # async portal under 1x/2x/5x overload. Gates on >10% p99-latency or goodput
 # regression vs bench/baselines/bench_portal_seed.json, a non-zero shed rate
-# at 5x, recomputes < requests (cross-request memoization), deadline
-# attainment >= 90% for the SLO tenants at 1x, and — on the hedged stage-in
+# at 5x, recomputes < requests (cross-request memoization), no expired
+# request and deadline attainment >= 80% for the SLO tenants at 1x, and — on the hedged stage-in
 # sweep — hedged p99 strictly below unhedged on the identical workload with
 # WAN-byte inflation bounded by the hedge rate. Those figures are
 # simulated-clock quantities — deterministic across hosts — so the gate
