@@ -69,6 +69,9 @@ Campaign::Campaign(CampaignConfig config) : config_(config) {
   }
   compute_ = std::make_unique<portal::MorphologyService>(*fabric_, *grid_, *rls_,
                                                          *tc_, scfg);
+  // The archive renders each cutout's row bands on the compute pool, which
+  // idles while the staging loop waits on the fabric handler.
+  universe_->set_render_executor(&compute_->tile_executor());
 
   portal::PortalConfig pcfg;
   pcfg.cutout_query = config_.cutout_mode;
@@ -84,6 +87,11 @@ Campaign::Campaign(CampaignConfig config) : config_(config) {
     entry.search_radius_deg = c.spec.extent_arcmin / 60.0;
     portal_->add_cluster(entry);
   }
+}
+
+Campaign::~Campaign() {
+  // The executor dies with compute_, before universe_.
+  universe_->set_render_executor(nullptr);
 }
 
 void Campaign::register_metrics(obs::MetricsRegistry& registry) const {

@@ -146,6 +146,7 @@ struct CampaignReport {
 class Campaign {
  public:
   explicit Campaign(CampaignConfig config);
+  ~Campaign();
 
   /// Runs every cluster of the paper campaign through the portal.
   Expected<CampaignReport> run();
@@ -155,6 +156,9 @@ class Campaign {
 
   // Internals, exposed for examples and benchmarks.
   const sim::Universe& universe() const { return *universe_; }
+  /// Mutable for rebinding its render executor (bound to the compute
+  /// service's pool at construction).
+  sim::Universe& universe() { return *universe_; }
   services::HttpFabric& fabric() { return *fabric_; }
   /// The registered archive federation (endpoint URLs + mirror host) —
   /// front-ends layered over this campaign (portal::AsyncPortal) build

@@ -18,7 +18,7 @@
 #include <optional>
 #include <vector>
 
-#include "core/parallel.hpp"
+#include "common/parallel.hpp"
 #include "image/image.hpp"
 
 namespace nvo::core {

@@ -238,6 +238,12 @@ class MorphologyService {
   /// The service-lifetime kernel pool (queue/active/idle observables).
   const grid::ThreadPool& pool() const { return pool_; }
 
+  /// The pool-backed parallel-for the kernel tiles large cutouts over
+  /// (grid::parallel_for_shared on pool()). The campaign also binds it to
+  /// its universe as the archive renderer's row-band executor. Lives as long
+  /// as the service.
+  const ParallelFor& tile_executor() const { return tile_executor_; }
+
   /// Registers this service's metrics (staging client, replica cache,
   /// kernel pool) under "client.compute.*", "cache.replica.*" and "pool.*",
   /// plus "staging.inflight" (live staged-but-uncomputed image count). The
@@ -274,7 +280,7 @@ class MorphologyService {
   // cutouts: tiled kernel stages fan back out over the same pool via
   // parallel_for_shared, which is safe to enter from a pool worker (the
   // worker itself drains chunks, so a fully-busy pool cannot deadlock).
-  core::ParallelFor tile_executor_;
+  ParallelFor tile_executor_;
   // Sharded byte-budgeted LRU image store replacing the old unbounded map.
   // Entries are registered in the RLS/grid on insert and deregistered on
   // eviction, so Pegasus reduction sees exactly what is resident.

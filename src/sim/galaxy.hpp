@@ -6,9 +6,12 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "image/image.hpp"
+#include "sim/profiles.hpp"
 #include "sky/coords.hpp"
 
 namespace nvo::sim {
@@ -59,8 +62,50 @@ struct RenderOptions {
 /// — we validate estimator *ordering*, not absolute photometry).
 image::Image render_galaxy(const GalaxyTruth& g, int size, const RenderOptions& opts);
 
+/// Inclusive pixel rectangle, already clipped to the frame (empty when
+/// x0 > x1 or y0 > y1).
+struct PixelBox {
+  int x0 = 0, x1 = -1, y0 = 0, y1 = -1;
+};
+
+/// One galaxy's light placed at pixel (cx, cy) of a width x height frame:
+/// everything the per-sample profile needs that does not change from pixel
+/// to pixel (the softened radius, the flux normalisation, the clumps, the
+/// position-angle and pitch trigonometry, the clipped boxes), computed once
+/// by prepare_galaxy_light and read by every row band of render_light.
+struct GalaxyLight {
+  struct Clump {
+    double cx, cy;      ///< frame pixel of the clump centre
+    double amp;         ///< peak counts of the PSF-broadened Gaussian
+    double two_sigma2;  ///< 2 sigma^2 of that Gaussian
+    PixelBox box;       ///< +-5 sigma
+  };
+  double cx = 0.0, cy = 0.0;
+  int supersample = 3;
+  double norm = 0.0;       ///< Sersic peak scaled to the body's total flux
+  double cusp_soft = 0.0;  ///< radius the central cusp is softened at
+  SersicShape sersic{1.0, 1.0};
+  EllipseFrame ellipse{1.0, 0.0};
+  SpiralPattern spiral{0.0, 0.0, 1.0};
+  PixelBox box;  ///< +-12 r_e around the centre
+  std::vector<Clump> clumps;
+};
+
+/// The per-placement step of the renderer (see GalaxyLight).
+GalaxyLight prepare_galaxy_light(const GalaxyTruth& g, double cx, double cy, int width,
+                                 int height, const RenderOptions& opts);
+
+/// Adds every placement's light (no noise, no sky) to `frame`, one row
+/// band per executor index. Each band walks `lights` in order and adds, for
+/// its row only, the smooth profile and then each clump, so every pixel
+/// receives its terms in the same order whatever the executor: the frame is
+/// bit-identical to the serial render (a null executor). Bands only write
+/// their own rows.
+void render_light(image::Image& frame, const std::vector<GalaxyLight>& lights,
+                  const ParallelFor* executor);
+
 /// Adds the galaxy's light (no noise, no sky) into `frame` at pixel
-/// (cx, cy); used by the field synthesizer to composite many members.
+/// (cx, cy), serially.
 void add_galaxy_light(image::Image& frame, const GalaxyTruth& g, double cx, double cy,
                       const RenderOptions& opts);
 

@@ -10,9 +10,7 @@ double sersic_bn(double n) {
 }
 
 double sersic_profile(double r, double r_e, double n) {
-  if (r_e <= 0.0 || n <= 0.0) return 0.0;
-  const double bn = sersic_bn(n);
-  return std::exp(-bn * std::pow(r / r_e, 1.0 / n));
+  return SersicShape(r_e, n).at(r);
 }
 
 double sersic_total_flux(double r_e, double n) {
@@ -77,29 +75,12 @@ double sersic_cusp_softened_total(double r_e, double n, double soft) {
 }
 
 double elliptical_radius(double dx, double dy, double q, double pa_rad) {
-  const double c = std::cos(pa_rad);
-  const double s = std::sin(pa_rad);
-  const double u = dx * c + dy * s;         // along the major axis
-  const double v = -dx * s + dy * c;        // along the minor axis
-  const double qq = q <= 0.0 ? 1e-3 : q;
-  return std::sqrt(u * u + (v / qq) * (v / qq));
+  return EllipseFrame(q, pa_rad).radius(dx, dy);
 }
 
 double spiral_modulation(double dx, double dy, double amp, double pitch_rad,
                          double r0) {
-  if (amp <= 0.0) return 1.0;
-  const double r = std::sqrt(dx * dx + dy * dy);
-  const double theta = std::atan2(dy, dx);
-  const double tan_pitch = std::tan(pitch_rad);
-  const double winding =
-      tan_pitch != 0.0 ? std::log(std::max(r, 0.25) / r0) / tan_pitch : 0.0;
-  // m=2 grand-design pattern plus an m=1 lopsidedness term. The m=2 term
-  // alone is point-symmetric (cos(2(theta+pi-w)) = cos(2(theta-w))), so a
-  // pure two-arm spiral would have zero rotational asymmetry; real disks
-  // are lopsided, and the m=1 component is what the asymmetry index sees.
-  const double m2 = amp * std::cos(2.0 * (theta - winding));
-  const double m1 = 0.6 * amp * std::cos(theta - winding);
-  return std::max(0.0, 1.0 + m2 + m1);
+  return SpiralPattern(amp, pitch_rad, r0).at(dx, dy);
 }
 
 }  // namespace nvo::sim

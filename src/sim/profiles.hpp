@@ -6,6 +6,9 @@
 // asymmetry indices are designed to measure (Conselice 2003).
 #pragma once
 
+#include <algorithm>
+#include <cmath>
+
 namespace nvo::sim {
 
 /// Sersic b_n coefficient such that r_e encloses half the total light.
@@ -46,6 +49,58 @@ double elliptical_radius(double dx, double dy, double q, double pa_rad);
 /// contribute nothing to the 180-degree rotational asymmetry index.
 double spiral_modulation(double dx, double dy, double amp, double pitch_rad,
                          double r0);
+
+// Per-galaxy forms of the profiles above. Each holds what its free
+// function recomputes on every call (b_n and 1/n, cos/sin of the position
+// angle, tan of the pitch) and evaluates the same expressions in the same
+// order, so a renderer that builds one per galaxy and calls it for every
+// sub-sample gets bit-identical values. The free functions are these, built
+// per call.
+
+/// Sersic surface brightness of one profile (see sersic_profile).
+struct SersicShape {
+  SersicShape(double r_e, double n)
+      : r_e(r_e), bn(sersic_bn(n)), inv_n(1.0 / n), defined(r_e > 0.0 && n > 0.0) {}
+  double at(double r) const {
+    if (!defined) return 0.0;
+    return std::exp(-bn * std::pow(r / r_e, inv_n));
+  }
+  double r_e, bn, inv_n;
+  bool defined;
+};
+
+/// Elliptical radius under one orientation (see elliptical_radius).
+struct EllipseFrame {
+  EllipseFrame(double q, double pa_rad)
+      : c(std::cos(pa_rad)), s(std::sin(pa_rad)), qq(q <= 0.0 ? 1e-3 : q) {}
+  double radius(double dx, double dy) const {
+    const double u = dx * c + dy * s;   // along the major axis
+    const double v = -dx * s + dy * c;  // along the minor axis
+    return std::sqrt(u * u + (v / qq) * (v / qq));
+  }
+  double c, s, qq;
+};
+
+/// Spiral modulation of one disk (see spiral_modulation).
+struct SpiralPattern {
+  SpiralPattern(double amp, double pitch_rad, double r0)
+      : amp(amp), tan_pitch(std::tan(pitch_rad)), r0(r0) {}
+  double at(double dx, double dy) const {
+    if (amp <= 0.0) return 1.0;
+    const double r = std::sqrt(dx * dx + dy * dy);
+    const double theta = std::atan2(dy, dx);
+    const double winding =
+        tan_pitch != 0.0 ? std::log(std::max(r, 0.25) / r0) / tan_pitch : 0.0;
+    // m=2 grand-design pattern plus an m=1 lopsidedness term. The m=2 term
+    // alone is point-symmetric (cos(2(theta+pi-w)) = cos(2(theta-w))), so a
+    // pure two-arm spiral would have zero rotational asymmetry; real disks
+    // are lopsided, and the m=1 component is what the asymmetry index sees.
+    const double m2 = amp * std::cos(2.0 * (theta - winding));
+    const double m1 = 0.6 * amp * std::cos(theta - winding);
+    return std::max(0.0, 1.0 + m2 + m1);
+  }
+  double amp, tan_pitch, r0;
+};
 
 /// Lanczos-free sub-pixel integration helper: mean profile value over a
 /// pixel sampled on an s x s grid (s=3 is plenty for r_e >= 1.5 pix).

@@ -125,13 +125,15 @@ image::FitsFile Universe::render_optical_field(const Cluster& cluster, int size,
   // when compositing at the field pixel scale.
   RenderOptions opts = config_.render;
   opts.pixel_scale_arcsec = pixel_scale_arcsec;
+  std::vector<GalaxyLight> lights;
   for (const GalaxyTruth& g : cluster.galaxies) {
     const auto px = wcs.sky_to_pixel(g.position);
     if (px.x < -32 || px.x >= size + 32 || px.y < -32 || px.y >= size + 32) continue;
     GalaxyTruth scaled = g;
     scaled.r_e_pix = std::max(0.8, g.r_e_pix / pixel_scale_arcsec);
-    add_galaxy_light(out.data, scaled, px.x, px.y, opts);
+    lights.push_back(prepare_galaxy_light(scaled, px.x, px.y, size, size, opts));
   }
+  render_light(out.data, lights, render_executor_);
   Rng noise_rng(hash64(cluster.name()) ^ 0x0F1E1Dull);
   apply_noise(out.data, opts, noise_rng);
 
@@ -192,14 +194,16 @@ image::FitsFile synthesize_galaxy_cutout(const Cluster& cluster,
                                          const GalaxyTruth& galaxy, int size,
                                          const RenderOptions& render,
                                          std::uint64_t universe_seed,
-                                         double corruption_rate) {
+                                         double corruption_rate,
+                                         const ParallelFor* executor) {
   image::FitsFile out;
   out.data = image::Image(size, size, 0.0f);
   const double c = (size - 1) / 2.0;
   const RenderOptions& opts = render;
 
   // Main galaxy plus any neighbor whose light reaches the frame.
-  add_galaxy_light(out.data, galaxy, c, c, opts);
+  std::vector<GalaxyLight> lights;
+  lights.push_back(prepare_galaxy_light(galaxy, c, c, size, size, opts));
   const double frame_arcmin =
       size * opts.pixel_scale_arcsec / 60.0;  // full frame width
   for (const GalaxyTruth& other : cluster.galaxies) {
@@ -211,8 +215,9 @@ image::FitsFile synthesize_galaxy_cutout(const Cluster& cluster,
     const sky::TangentPlane tp = sky::project_tan(galaxy.position, other.position);
     const double px = c - tp.xi_deg * sky::kArcsecPerDeg / opts.pixel_scale_arcsec;
     const double py = c + tp.eta_deg * sky::kArcsecPerDeg / opts.pixel_scale_arcsec;
-    add_galaxy_light(out.data, other, px, py, opts);
+    lights.push_back(prepare_galaxy_light(other, px, py, size, size, opts));
   }
+  render_light(out.data, lights, executor);
 
   Rng noise_rng(galaxy.seed ^ 0x0157EEDull);
   apply_noise(out.data, opts, noise_rng);
@@ -235,7 +240,8 @@ image::FitsFile Universe::render_galaxy_cutout(const Cluster& cluster,
                                                const GalaxyTruth& galaxy,
                                                int size) const {
   return synthesize_galaxy_cutout(cluster, galaxy, size, config_.render,
-                                  config_.seed, config_.corruption_rate);
+                                  config_.seed, config_.corruption_rate,
+                                  render_executor_);
 }
 
 votable::Table Universe::ned_catalog(const Cluster& cluster) const {

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "common/parallel.hpp"
 #include "image/fits.hpp"
 #include "image/wcs.hpp"
 #include "sim/cluster.hpp"
@@ -39,6 +40,13 @@ class Universe {
                                       double population_scale = 1.0);
 
   const UniverseConfig& config() const { return config_; }
+
+  /// Row-band executor for the synthesis behind optical_field and
+  /// galaxy_cutout (see render_light); null renders serially. It changes
+  /// no byte of any frame, so it is not part of a RenderCache key. The
+  /// executor must outlive the binding: clear it before destroying it.
+  void set_render_executor(const ParallelFor* executor) { render_executor_ = executor; }
+  const ParallelFor* render_executor() const { return render_executor_; }
   const sky::Cosmology& cosmology() const { return config_.cosmology; }
   const std::vector<Cluster>& clusters() const { return clusters_; }
 
@@ -89,6 +97,7 @@ class Universe {
 
   UniverseConfig config_;
   std::vector<Cluster> clusters_;
+  const ParallelFor* render_executor_ = nullptr;
 };
 
 /// Whether the galaxy's cutout falls in the deterministic corrupted subset
@@ -102,11 +111,15 @@ bool galaxy_cutout_is_corrupted(const GalaxyTruth& galaxy,
 /// frame Universe::galaxy_cutout serves (the Universe method is this
 /// function behind the process-wide cache). Survey-scale pipelines that
 /// visit each galaxy exactly once call this directly — caching a million
-/// never-revisited frames would only burn memory.
+/// never-revisited frames would only burn memory. The target and every
+/// neighbour are prepared once, then their light is accumulated in row
+/// bands over `executor` (null = serially); noise, corruption and the
+/// header follow serially. The bytes do not depend on the executor.
 image::FitsFile synthesize_galaxy_cutout(const Cluster& cluster,
                                          const GalaxyTruth& galaxy, int size,
                                          const RenderOptions& render,
                                          std::uint64_t universe_seed,
-                                         double corruption_rate);
+                                         double corruption_rate,
+                                         const ParallelFor* executor = nullptr);
 
 }  // namespace nvo::sim

@@ -1,7 +1,8 @@
 // Data-plane invariants: the replica cache must change performance, never
 // science (byte-identical morphology and Dressler outputs with the cache
 // starved vs. unbounded); a warm cache must shrink the Pegasus plan; and
-// the single-pass VOTable codec must be byte-identical to the tree path.
+// the single-pass VOTable codec must be byte-identical to the tree path; and
+// rendering the archive on the compute pool must not change a catalog byte.
 #include <gtest/gtest.h>
 
 #include "analysis/campaign.hpp"
@@ -124,6 +125,34 @@ TEST(DataPlane, RenderCacheServesBitIdenticalFrames) {
   const auto other = image::write_fits(
       u3.galaxy_cutout(u3.clusters().front(), u3.clusters().front().galaxies.front()));
   EXPECT_NE(cold, other);
+}
+
+TEST(DataPlane, RenderExecutorLeavesTheCatalogByteIdentical) {
+  // A campaign renders archive cutouts in row bands on its compute pool.
+  // The catalog it serves must equal the one from a serially rendering
+  // archive, byte for byte. The render cache is cleared before each run so
+  // both runs synthesize every frame instead of reading the other's.
+  CampaignConfig config = small_config();
+  config.population_scale = 0.1;
+  const auto run = [&](bool bound) {
+    Campaign campaign(config);
+    EXPECT_EQ(campaign.universe().render_executor(),
+              &campaign.compute_service().tile_executor());
+    if (!bound) campaign.universe().set_render_executor(nullptr);
+    const std::string name = campaign.universe().clusters().front().name();
+    sim::RenderCache::instance().clear();
+    const auto before = sim::RenderCache::instance().stats();
+    auto outcome = campaign.run_cluster(name);
+    const auto after = sim::RenderCache::instance().stats();
+    EXPECT_TRUE(outcome.ok()) << outcome.error().to_string();
+    EXPECT_EQ(after.hits, before.hits);
+    EXPECT_GT(after.misses, before.misses + 40);
+    return outcome.ok() ? outcome->catalog_xml : std::string();
+  };
+  const std::string banded = run(true);
+  const std::string serial = run(false);
+  ASSERT_FALSE(serial.empty());
+  EXPECT_EQ(banded, serial);
 }
 
 TEST(DataPlane, FastCodecByteIdenticalToTreePath) {

@@ -607,7 +607,7 @@ TEST(CheckpointJournal, AdversarialKeysStayDistinctAcrossReopen) {
       "newline\nhere",
       "cr\rlf\n",
       std::string("\v\f"),
-      std::string("\x01\x1f ctl", 8),
+      std::string("\x01\x1f ctl\0", 7),  // control bytes and an embedded NUL
       "trailing%",
       "50% off\nnow",
   };

@@ -3,10 +3,19 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <memory>
+#include <vector>
+
+#include "common/parallel.hpp"
+#include "common/rng.hpp"
+#include "grid/threadpool.hpp"
+#include "image/fits.hpp"
 
 #include "sim/cluster.hpp"
 #include "sim/galaxy.hpp"
 #include "sim/profiles.hpp"
+#include "sim/render_cache.hpp"
 #include "sim/universe.hpp"
 #include "sim/xray.hpp"
 
@@ -438,6 +447,160 @@ TEST(Universe, RedSequenceInCnocColors) {
   ASSERT_GT(early_n, 5);
   ASSERT_GT(late_n, 5);
   EXPECT_GT(early_sum / early_n, late_sum / late_n + 0.15);
+}
+
+// ---------------------------------------------------------------------------
+// synthesis byte identity
+// ---------------------------------------------------------------------------
+
+std::uint64_t fits_digest(const image::FitsFile& f) {
+  const std::vector<std::uint8_t> bytes = image::write_fits(f);
+  return hash64(reinterpret_cast<const char*>(bytes.data()), bytes.size());
+}
+
+// Folds a sequence of digests into one, order-sensitively.
+std::uint64_t fold_digests(const std::vector<std::uint64_t>& digests) {
+  return hash64(reinterpret_cast<const char*>(digests.data()),
+                digests.size() * sizeof(std::uint64_t));
+}
+
+RenderOptions render_at(int supersample) {
+  RenderOptions opts;
+  opts.supersample = supersample;
+  return opts;
+}
+
+// Digests of the serial renderer's frames, recorded before the renderer was
+// split into prepare/accumulate steps. Any change to the expressions, their
+// order or the per-pixel summation order moves a bit and fails here. They
+// hold for IEEE double with glibc's libm and -ffp-contract=off (the build's
+// flags); a different libm may round exp/pow/atan2 differently.
+TEST(Synthesis, CutoutFieldAndFrameDigestsArePinned) {
+  const Universe u = Universe::make_paper_campaign(20031115, 0.15);
+  const UniverseConfig& cfg = u.config();
+  const Cluster& c = u.clusters().front();
+  const std::uint64_t kFirstCutouts[2][3] = {
+      {0x94e7c6a2ec318911ull, 0xd0875a9299b6eef1ull, 0x7db10cf886bf0b8dull},
+      {0xbfb16f877104e8e5ull, 0xa4ec2107ccdcabd5ull, 0x560c20a6a81cfe77ull}};
+  for (int k = 0; k < 2; ++k) {
+    const int ss = k == 0 ? 1 : 3;
+    for (std::size_t i = 0; i < 3; ++i) {
+      EXPECT_EQ(fits_digest(synthesize_galaxy_cutout(c, c.galaxies[i], 64, render_at(ss),
+                                                     cfg.seed, cfg.corruption_rate)),
+                kFirstCutouts[k][i])
+          << c.galaxies[i].id << " supersample " << ss;
+    }
+  }
+
+  // Every campaign cutout, folded in cluster order.
+  const std::uint64_t kAllCutouts[2] = {0x88c43711fa26f5ddull, 0x90eb375d951bea5bull};
+  for (int k = 0; k < 2; ++k) {
+    const int ss = k == 0 ? 1 : 3;
+    std::vector<std::uint64_t> all;
+    for (const Cluster& cl : u.clusters()) {
+      for (const GalaxyTruth& gal : cl.galaxies) {
+        all.push_back(fits_digest(synthesize_galaxy_cutout(
+            cl, gal, 64, render_at(ss), cfg.seed, cfg.corruption_rate)));
+      }
+    }
+    ASSERT_EQ(all.size(), 233u);
+    EXPECT_EQ(fold_digests(all), kAllCutouts[k]) << "supersample " << ss;
+  }
+
+  // A clumpy, armed, inclined galaxy exercises every term of the renderer.
+  GalaxyTruth g = elliptical_truth();
+  g.id = "TEST_IRR";
+  g.seed = hash64(g.id);
+  g.type = MorphType::kIrregular;
+  g.sersic_n = 1.2;
+  g.axis_ratio = 0.6;
+  g.position_angle_rad = 0.7;
+  g.arm_amplitude = 0.4;
+  g.clumpiness = 0.3;
+  const image::Image frame = render_galaxy(g, 64, RenderOptions{});
+  EXPECT_EQ(hash64(reinterpret_cast<const char*>(frame.pixels().data()),
+                   frame.size() * sizeof(float)),
+            0x2789b31e498eea37ull);
+
+  EXPECT_EQ(fits_digest(u.optical_field(c, 512, 2.0)), 0x020912b66ce57d9full);
+}
+
+// The pool-backed executor a campaign binds: parallel_for_shared, in which
+// the calling thread drains bands too.
+ParallelFor shared_executor(grid::ThreadPool& pool) {
+  return [&pool](std::size_t n, const std::function<void(std::size_t)>& fn) {
+    grid::parallel_for_shared(pool, n, fn);
+  };
+}
+
+TEST(Synthesis, BandedCutoutsMatchSerialBytesAtEveryThreadCount) {
+  const Universe u = Universe::make_paper_campaign(20031115, 0.15);
+  const UniverseConfig& cfg = u.config();
+  std::vector<std::unique_ptr<grid::ThreadPool>> pools;
+  std::vector<ParallelFor> executors;
+  for (std::size_t threads : {1, 2, 4}) {
+    pools.push_back(std::make_unique<grid::ThreadPool>(threads));
+    executors.push_back(shared_executor(*pools.back()));
+  }
+  for (int ss : {1, 3}) {
+    std::size_t compared = 0;
+    for (const Cluster& cl : u.clusters()) {
+      for (const GalaxyTruth& g : cl.galaxies) {
+        const std::vector<std::uint8_t> serial = image::write_fits(synthesize_galaxy_cutout(
+            cl, g, 64, render_at(ss), cfg.seed, cfg.corruption_rate));
+        for (std::size_t k = 0; k < executors.size(); ++k) {
+          ASSERT_EQ(image::write_fits(synthesize_galaxy_cutout(cl, g, 64, render_at(ss),
+                                                               cfg.seed, cfg.corruption_rate,
+                                                               &executors[k])),
+                    serial)
+              << g.id << " supersample " << ss << " pool " << pools[k]->num_threads();
+        }
+        ++compared;
+      }
+    }
+    EXPECT_EQ(compared, 233u);
+  }
+}
+
+TEST(Synthesis, UniverseBoundToAnExecutorServesTheSameFrames) {
+  grid::ThreadPool pool(2);
+  const ParallelFor executor = shared_executor(pool);
+  Universe u = Universe::make_paper_campaign(20031115, 0.15);
+  const Cluster& c = u.clusters().front();
+  const GalaxyTruth& g = c.galaxies.front();
+  const std::vector<std::uint8_t> serial = image::write_fits(synthesize_galaxy_cutout(
+      c, g, 64, u.config().render, u.config().seed, u.config().corruption_rate));
+  u.set_render_executor(&executor);
+  // The executor is not part of the cache key; start cold so both frames
+  // are rendered on the pool rather than read back.
+  RenderCache::instance().clear();
+  const std::uint64_t hits = RenderCache::instance().stats().hits;
+  EXPECT_EQ(image::write_fits(u.galaxy_cutout(c, g, 64)), serial);
+  EXPECT_EQ(fits_digest(u.optical_field(c, 512, 2.0)), 0x020912b66ce57d9full);
+  EXPECT_EQ(RenderCache::instance().stats().hits, hits);
+  u.set_render_executor(nullptr);
+}
+
+TEST(Synthesis, BandedRenderInsideABusyPoolCompletes) {
+  // Kernel tasks occupy every worker while the archive renders on the same
+  // pool: the calling thread drains the bands itself, so nothing waits on
+  // a worker that is not coming.
+  grid::ThreadPool pool(2);
+  const ParallelFor executor = shared_executor(pool);
+  const Universe u = Universe::make_paper_campaign(20031115, 0.15);
+  const Cluster& c = u.clusters().front();
+  const UniverseConfig& cfg = u.config();
+  std::vector<std::vector<std::uint8_t>> banded(4);
+  grid::parallel_for(pool, banded.size(), [&](std::size_t i) {
+    banded[i] = image::write_fits(synthesize_galaxy_cutout(
+        c, c.galaxies[i], 64, cfg.render, cfg.seed, cfg.corruption_rate, &executor));
+  });
+  for (std::size_t i = 0; i < banded.size(); ++i) {
+    EXPECT_EQ(banded[i], image::write_fits(synthesize_galaxy_cutout(
+                             c, c.galaxies[i], 64, cfg.render, cfg.seed,
+                             cfg.corruption_rate)))
+        << c.galaxies[i].id;
+  }
 }
 
 }  // namespace

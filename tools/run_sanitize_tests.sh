@@ -3,12 +3,13 @@
 # resilience-facing test lane (retry/breaker/failover unit tests, fabric
 # metrics, the chaos campaign suite, the digest/quarantine integrity tests,
 # the checkpoint-journal tests in grid_test, and the replica-cache/data-plane
-# tests) under the instrumented binaries, then repeats the concurrency-facing
-# lane (sharded cache + pipelined staging + concurrent journal appends) under
-# ThreadSanitizer in build-tsan/.
+# tests, and the archive renderer's banded synthesis in sim_test) under the
+# instrumented binaries, then repeats the concurrency-facing lane (sharded
+# cache + pipelined staging + concurrent journal appends + row-band
+# rendering) under ThreadSanitizer in build-tsan/.
 #
 # Usage: tools/run_sanitize_tests.sh [ctest -R regex]
-#   default regex: resilience_test|chaos_test|services_test|replica_cache_test|data_plane_test|obs_test|observability_test|integrity_test|grid_test|soa_kernel_test|survey_test|async_portal_test|dataflow_test|multipool_test|lifecycle_test
+#   default regex: resilience_test|chaos_test|services_test|replica_cache_test|data_plane_test|obs_test|observability_test|integrity_test|grid_test|soa_kernel_test|survey_test|async_portal_test|dataflow_test|multipool_test|lifecycle_test|sim_test
 #   BUILD_DIR=<dir>       ASan build tree (default: <repo>/build-asan)
 #   TSAN_BUILD_DIR=<dir>  TSan build tree (default: <repo>/build-tsan)
 #   NVO_SKIP_TSAN=1       run only the ASan phase
@@ -17,7 +18,7 @@ set -e
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD="${BUILD_DIR:-$ROOT/build-asan}"
 TSAN_BUILD="${TSAN_BUILD_DIR:-$ROOT/build-tsan}"
-REGEX="${1:-resilience_test|chaos_test|services_test|replica_cache_test|data_plane_test|obs_test|observability_test|integrity_test|grid_test|soa_kernel_test|survey_test|async_portal_test|dataflow_test|multipool_test|lifecycle_test}"
+REGEX="${1:-resilience_test|chaos_test|services_test|replica_cache_test|data_plane_test|obs_test|observability_test|integrity_test|grid_test|soa_kernel_test|survey_test|async_portal_test|dataflow_test|multipool_test|lifecycle_test|sim_test}"
 # obs_test/observability_test drive the traced portal pipeline through the
 # kernel thread pool, and grid_test appends to the checkpoint journal from a
 # thread pool, so they belong in the TSan lane too. soa_kernel_test exercises
@@ -41,14 +42,20 @@ REGEX="${1:-resilience_test|chaos_test|services_test|replica_cache_test|data_pla
 # cancel/cleanup races are exactly what TSan exists to catch, and the
 # leak-freedom assertions (inflight gauges back to zero) are what LeakSanitizer
 # cross-checks in the ASan lane.
-TSAN_REGEX="${TSAN_REGEX:-replica_cache_test|data_plane_test|obs_test|observability_test|grid_test|soa_kernel_test|survey_test|async_portal_test|dataflow_test|multipool_test|lifecycle_test}"
+# sim_test joins both lanes: a campaign's archive renders each cutout in row
+# bands on the compute pool, so pool workers (and the calling thread) write
+# disjoint row bands of one image::Image while the pool may also be running
+# kernels; its byte-identity cases run those bands on 1-, 2- and 4-thread
+# pools and from inside a busy pool.
+TSAN_REGEX="${TSAN_REGEX:-replica_cache_test|data_plane_test|obs_test|observability_test|grid_test|soa_kernel_test|survey_test|async_portal_test|dataflow_test|multipool_test|lifecycle_test|sim_test}"
 
 cmake -B "$BUILD" -S "$ROOT" -DNVO_SANITIZE="address;undefined" \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$BUILD" -j --target \
       resilience_test chaos_test services_test replica_cache_test data_plane_test \
       obs_test observability_test integrity_test grid_test soa_kernel_test \
-      survey_test async_portal_test dataflow_test multipool_test lifecycle_test
+      survey_test async_portal_test dataflow_test multipool_test lifecycle_test \
+      sim_test
 
 ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1}" \
 UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1:halt_on_error=1}" \
@@ -64,7 +71,7 @@ cmake -B "$TSAN_BUILD" -S "$ROOT" -DNVO_TSAN=ON \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$TSAN_BUILD" -j --target replica_cache_test data_plane_test \
       obs_test observability_test grid_test soa_kernel_test survey_test \
-      async_portal_test dataflow_test multipool_test lifecycle_test
+      async_portal_test dataflow_test multipool_test lifecycle_test sim_test
 
 TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
 NVO_SURVEY_TEST_TARGET="${NVO_SURVEY_TEST_TARGET:-5000}" \
