@@ -58,8 +58,6 @@ struct CampaignConfig {
   /// rows incrementally; kBarriered stages everything first (the overlap
   /// baseline). Catalog bytes are identical either way.
   portal::ExecutionMode execution_mode = portal::ExecutionMode::kPipelined;
-  /// Pipelined mode: concurrent stage-in channels on the sim clock.
-  std::size_t stage_in_window = 8;
   /// Durable checkpoint journal path; empty disables journaling. When set,
   /// staged-replica registrations, DAG node completions, per-galaxy
   /// morphology rows, and finished cluster catalogs are persisted as they
@@ -71,15 +69,10 @@ struct CampaignConfig {
   /// site-outage chaos scripted, each round re-maps the unfinished portion
   /// onto surviving pools (see ChaosSchedule::site_outage).
   std::size_t rescue_rounds = 0;
-  /// Straggler rebalancing: idle pools pull queued-but-unstarted jobs from
-  /// backlogged ones in the simulated executor.
-  bool work_stealing = false;
   /// Hedged stage-ins in the pipelined executor: slow archive fetches are
   /// re-issued against the mirror after a quantile-derived delay, first
   /// verified success wins (portal::ComputeServiceConfig::hedge_stage_ins).
   bool hedge_stage_ins = false;
-  double hedge_quantile = 0.95;
-  std::size_t hedge_min_samples = 8;
 };
 
 struct ClusterOutcome {

@@ -81,17 +81,41 @@ RunReport merge_node_outcomes(const vds::Dag& concrete,
   return merged;
 }
 
+void RescueTally::absorb(const RunReport& round) {
+  for (const NodeResult& r : round.nodes) latest[r.id] = r;
+  counters.retries += round.retries;
+  counters.stolen_jobs += round.stolen_jobs;
+  counters.wan_bytes += round.wan_bytes;
+  counters.jobs_expired += round.jobs_expired;
+  counters.sites_lost.insert(counters.sites_lost.end(), round.sites_lost.begin(),
+                             round.sites_lost.end());
+  for (const auto& [site, busy] : round.site_busy_seconds) {
+    counters.site_busy_seconds[site] += busy;
+  }
+}
+
+RunReport RescueTally::merged(const vds::Dag& concrete) const {
+  RunReport out = merge_node_outcomes(concrete, latest);
+  out.retries = counters.retries;
+  out.stolen_jobs = counters.stolen_jobs;
+  out.wan_bytes = counters.wan_bytes;
+  out.jobs_expired = counters.jobs_expired;
+  out.sites_lost = counters.sites_lost;
+  out.site_busy_seconds = counters.site_busy_seconds;
+  return out;
+}
+
 Expected<RescueOutcome> run_with_rescue(DagManSim& dagman, const vds::Dag& concrete,
                                         int max_rounds) {
   RescueOutcome outcome;
-  std::map<std::string, NodeResult> latest;
+  RescueTally tally;
 
   vds::Dag current = concrete;
   for (int round = 0; round < max_rounds && !current.empty(); ++round) {
     auto report = dagman.run(current);
     if (!report.ok()) return report.error();
     ++outcome.rounds;
-    for (const NodeResult& r : report->nodes) latest[r.id] = r;
+    tally.absorb(report.value());
     // A complete round — whether or not the engine set the flag — is
     // terminal: building and running a rescue DAG over zero unfinished
     // nodes would burn a round on an empty execution.
@@ -103,7 +127,7 @@ Expected<RescueOutcome> run_with_rescue(DagManSim& dagman, const vds::Dag& concr
 
   // Merge the final per-node outcomes into a report shaped like a single
   // run over the original DAG.
-  outcome.final_report = merge_node_outcomes(concrete, latest);
+  outcome.final_report = tally.merged(concrete);
   outcome.fully_succeeded = outcome.final_report.workflow_succeeded;
   return outcome;
 }

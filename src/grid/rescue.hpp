@@ -29,10 +29,24 @@ Expected<vds::Dag> make_rescue_dag(const vds::Dag& concrete, const RunReport& re
 RunReport merge_node_outcomes(const vds::Dag& concrete,
                               const std::map<std::string, NodeResult>& latest);
 
+/// One workflow across its executions (first run plus rescue rounds): each
+/// node's latest outcome, and the run-level counters (retries, stolen_jobs,
+/// wan_bytes, jobs_expired, sites_lost, site_busy_seconds) summed over the
+/// rounds, which merge_node_outcomes alone would report as zero.
+struct RescueTally {
+  std::map<std::string, NodeResult> latest;  ///< node id -> last outcome
+  RunReport counters;  ///< only the run-level counters are used
+  /// Folds one round in: its outcomes replace earlier ones, counters add up.
+  void absorb(const RunReport& round);
+  /// merge_node_outcomes(concrete, latest) carrying the summed counters.
+  RunReport merged(const vds::Dag& concrete) const;
+};
+
 /// Convenience loop: run, and while failures remain, rescue + rerun, up to
 /// `max_rounds`. Each round only re-attempts the unfinished portion.
 /// Returns the merged report of the final state (every node's last
-/// outcome) plus how many rounds ran. An empty DAG (or an all-succeeded
+/// outcome, run-level counters summed over rounds) plus how many rounds
+/// ran. An empty DAG (or an all-succeeded
 /// first round) is the empty-rescue outcome: no degenerate rescue DAG is
 /// built and `rounds` reports only the executions actually performed (0
 /// for an empty input).

@@ -28,7 +28,7 @@
 
 #include "common/expected.hpp"
 #include "common/ids.hpp"
-#include "core/galmorph.hpp"
+#include "common/parallel.hpp"
 #include "grid/checkpoint.hpp"
 #include "grid/dagman.hpp"
 #include "grid/grid.hpp"
@@ -51,23 +51,22 @@ namespace nvo::portal {
 /// How the simulated workflow execution is scheduled against image staging.
 enum class ExecutionMode {
   /// Phase barrier: all images stage (sequentially on the sim clock), then
-  /// the DAG runs. The original executor; kept as the overlap baseline and
-  /// as the byte-identity oracle for the pipelined path.
+  /// the DAG runs. The original executor's timeline, kept as the overlap
+  /// baseline. Catalog rows stream through the same StreamingCatalogWriter
+  /// as in kPipelined, so only the simulated timeline differs.
   kBarriered,
   /// Event-driven dataflow: stage-in requests occupy a bounded window of
   /// concurrent channels on the sim clock, each galaxy's compute node
   /// becomes dispatchable the moment its cutout lands in the replica cache
-  /// (ready-on-data edges through DagManSim::set_ready_times), and finished
-  /// rows are absorbed into the output VOTable incrementally while other
-  /// galaxies are still staging. Science output is byte-identical to
-  /// kBarriered; only the simulated timeline changes.
+  /// (ready-on-data edges through DagManSim::set_ready_times), and slow
+  /// fetches may be hedged. Science output is byte-identical to kBarriered;
+  /// only the simulated timeline changes.
   kPipelined,
 };
 
 struct ComputeServiceConfig {
   std::string host = "galmorph.isi.sim";  ///< service host on the fabric
   std::string cache_site = "isi";         ///< grid site holding the image cache
-  core::GalMorphArgs default_args;        ///< cosmology/photometry defaults
   pegasus::PlannerConfig planner;         ///< site/replica policies etc.
   grid::JobCostModel cost;                ///< simulated job durations
   grid::FailureModel failure;             ///< injected grid failures
@@ -80,18 +79,9 @@ struct ComputeServiceConfig {
   /// Byte-budgeted LRU replica store backing the image cache. Evicted LFNs
   /// are deregistered from the RLS/grid so plans never rely on them.
   services::ReplicaCacheConfig replica_cache;
-  /// Bound on staged-but-uncomputed images in flight: the staging loop
-  /// blocks once this many kernel tasks are pending, keeping pinned cutout
-  /// memory proportional to the bound rather than the cluster size.
-  std::size_t prefetch_depth = 32;
   /// Execution scheduling mode (see ExecutionMode). Pipelined is the
   /// default; barriered remains for benchmarking and identity checks.
   ExecutionMode execution_mode = ExecutionMode::kPipelined;
-  /// Pipelined mode: number of concurrent stage-in channels on the sim
-  /// clock. Fetch latencies overlap each other up to this bound (and all of
-  /// them overlap kernel time), modeling a client that keeps this many
-  /// transfers in flight against the archive.
-  std::size_t stage_in_window = 8;
   /// Optional trace-span sink (staging, planning, DAGMan nodes, kernels).
   /// Must outlive the service.
   obs::Tracer* tracer = nullptr;
@@ -113,13 +103,9 @@ struct ComputeServiceConfig {
   /// re-maps it off any pools the executor has latched dead (site-outage
   /// chaos), and reruns it on the same sim engine.
   std::size_t rescue_rounds = 0;
-  /// Straggler rebalancing in the simulated executor: idle pools pull
-  /// queued-but-unstarted jobs from backlogged ones, gated on the thief
-  /// site having the transformation installed (TC lookup).
-  bool work_stealing = false;
   /// Hedged stage-ins (pipelined executor only): once enough fetch
   /// durations have been observed, a fetch slower than the hedge delay —
-  /// the `hedge_quantile` of a service-level rolling window of primary
+  /// a fixed quantile of a service-level rolling window of primary
   /// durations (learned across requests, so a warm service protects a new
   /// request's first fetches too) — is re-issued against the archive's
   /// registered mirror. First verified success wins:
@@ -129,8 +115,6 @@ struct ComputeServiceConfig {
   /// already happened). Requires a mirror in `mirrors` for the archive
   /// host; fetches without one are never hedged.
   bool hedge_stage_ins = false;
-  double hedge_quantile = 0.95;
-  std::size_t hedge_min_samples = 8;
 };
 
 /// Everything measured about one request (drives the Fig. 6 benchmark).
@@ -259,8 +243,28 @@ class MorphologyService {
     ServiceTrace trace;
   };
 
+  /// Per-request state shared by the pipeline stages (defined in the .cpp).
+  struct Request;
+
+  /// The request pipeline: serve an already materialized result, or replay
+  /// journaled images, stage (hedged fetch, admit, kernel submit), compose
+  /// and plan, execute with rescue, and materialize.
   Status process(RequestRecord& record, const votable::Table& input,
                  const std::string& out_name, const services::RequestContext& ctx);
+  bool serve_materialized(RequestRecord& record, const std::string& out_lfn,
+                          obs::Span& req);
+  void replay_journaled_images(Request& rq);
+  Status stage(Request& rq);
+  services::ReplicaCache::Payload admit_image(Request& rq, const std::string& id,
+                                              const std::string& url);
+  Expected<services::HttpResponse> fetch_hedged(Request& rq, const std::string& lfn,
+                                                const std::string& url);
+  void submit_kernel(Request& rq, std::size_t i, services::ReplicaCache::Payload payload,
+                     std::uint64_t staging_id);
+  Status compose_and_plan(Request& rq);
+  Status execute(Request& rq);
+  Status run_rescue_rounds(Request& rq, grid::DagManSim& dagman);
+  void materialize(Request& rq, obs::Span& req);
 
   services::HttpFabric& fabric_;
   grid::Grid& grid_;
@@ -301,7 +305,7 @@ class MorphologyService {
   /// (other tenants through a shared service) proceed normally.
   bool kill_fired_ = false;
   /// Staged-but-uncomputed images currently pinned for pending kernel
-  /// tasks (the prefetch_depth bound's live occupancy). Atomic so the
+  /// tasks (the kPrefetchDepth bound's live occupancy). Atomic so the
   /// "staging.inflight" gauge can read it while pool workers decrement.
   std::atomic<std::size_t> staging_inflight_{0};
   /// Rolling window of primary (unhedged) stage-in durations across the

@@ -48,8 +48,7 @@ void StreamingCatalogWriter::flush_ready_locked() {
          node_final_[next_]) {
     core::GalMorphResult& r = (*results_)[next_];
     if (grid_failed_[next_]) {
-      // Same override the barriered path applies after its barrier: a
-      // grid-level failure voids the product even if the kernel ran.
+      // A grid-level failure voids the product even if the kernel ran.
       r.params.valid = false;
       r.params.failure_reason = "grid job failed";
     }

@@ -1,6 +1,6 @@
-// Incremental catalog merge for the pipelined dataflow executor: finished
-// galaxies are absorbed into the output VOTable while others are still
-// staging or computing, instead of one batch concat after a full barrier.
+// Incremental catalog merge for the compute service: finished galaxies are
+// absorbed into the output VOTable while others are still staging or
+// computing, instead of one batch concat after a full barrier.
 //
 // A catalog row is emittable only when BOTH halves of its story are final:
 // the real kernel result exists (the morphology numbers), and the simulated
@@ -11,8 +11,8 @@
 // loop on the caller thread. The writer holds a reorder buffer and emits
 // rows strictly in input (galaxy) order through votable::VotableXmlStream,
 // which is a byte-identical decomposition of to_votable_xml — so the
-// streamed catalog equals the phase-barriered concat_results path
-// bit-for-bit, for every completion order.
+// catalog of both execution modes equals to_votable_xml(concat_results())
+// of the same rows bit-for-bit, for every completion order.
 #pragma once
 
 #include <cstddef>
@@ -39,8 +39,8 @@ class StreamingCatalogWriter {
   void mark_kernel_done(std::size_t index);
 
   /// Caller-thread side: the simulated node outcome for this galaxy is
-  /// final. `grid_failed` overrides the row to invalid ("grid job failed")
-  /// at emission time. Idempotent: later marks for an already-final index
+  /// final. `grid_failed` overrides the row to invalid, with the grid-failure
+  /// reason, at emission time. Idempotent: later marks for an already-final index
   /// are ignored, so a blanket end-of-run sweep is safe.
   void mark_node_final(std::size_t index, bool grid_failed);
 

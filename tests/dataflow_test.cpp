@@ -11,11 +11,13 @@
 #include <atomic>
 #include <cstdio>
 #include <numeric>
+#include <optional>
 #include <random>
 #include <thread>
 #include <vector>
 
 #include "analysis/campaign.hpp"
+#include "common/rng.hpp"
 #include "core/galmorph.hpp"
 #include "grid/dagman.hpp"
 #include "grid/threadpool.hpp"
@@ -172,6 +174,92 @@ TEST(Dataflow, PipelinedKillResumeMatchesBarrieredReference) {
   }
   EXPECT_GT(report->total_nodes_resumed + report->clusters_resumed, 0u);
   std::remove(journal_path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// Barriered catalog bytes and grid-failure rows
+// ---------------------------------------------------------------------------
+
+/// Order-sensitive digest over every cluster's catalog bytes.
+std::uint64_t catalogs_digest(const CampaignReport& report) {
+  std::vector<std::uint64_t> digests;
+  for (const ClusterOutcome& c : report.clusters) digests.push_back(hash64(c.catalog_xml));
+  return hash64(reinterpret_cast<const char*>(digests.data()),
+                digests.size() * sizeof(std::uint64_t));
+}
+
+CampaignConfig outage_config(portal::ExecutionMode mode) {
+  CampaignConfig config = small_config(mode);
+  config.chaos.site_outage("fermilab", 1.0);  // mid-DAG: jobs are in flight
+  config.rescue_rounds = 0;  // no recovery: the lost pool's rows stay failed
+  return config;
+}
+
+/// The catalog XML carries only the validity flag, so a grid-failure row
+/// is checked against the fault-free catalog of the same galaxies: a row
+/// whose `m_<id>` node the trace reports kFailed is invalid with null
+/// measurements, and every other row equals its fault-free counterpart.
+/// Returns how many rows the grid failure turned invalid.
+std::size_t check_grid_failure_rows(Campaign& campaign, const CampaignReport& report,
+                                    const CampaignReport& clean) {
+  std::size_t overridden = 0;
+  EXPECT_EQ(report.clusters.size(), clean.clusters.size());
+  for (std::size_t c = 0; c < report.clusters.size(); ++c) {
+    const ClusterOutcome& cluster = report.clusters[c];
+    const portal::ServiceTrace* trace =
+        campaign.compute_service().trace(cluster.portal_trace.compute_request_id);
+    auto table = votable::from_votable_xml(cluster.catalog_xml);
+    auto reference = votable::from_votable_xml(clean.clusters[c].catalog_xml);
+    EXPECT_NE(trace, nullptr) << cluster.name;
+    EXPECT_TRUE(table.ok() && reference.ok()) << cluster.name;
+    if (!trace || !table.ok() || !reference.ok()) continue;
+    EXPECT_EQ(table->num_rows(), reference->num_rows()) << cluster.name;
+    for (std::size_t i = 0; i < table->num_rows() && i < reference->num_rows(); ++i) {
+      const votable::Row& row = table->row(i);
+      const votable::Row& ref = reference->row(i);
+      const std::string id = row[0].as_string().value_or("");
+      const grid::NodeResult* node = trace->execution.result_for("m_" + id);
+      EXPECT_NE(node, nullptr) << id;
+      if (!node || node->outcome != grid::NodeOutcome::kFailed) {
+        EXPECT_EQ(row, ref) << cluster.name << " row " << id;
+        continue;
+      }
+      EXPECT_EQ(row[1].as_bool(), std::optional<bool>(false)) << id;
+      for (std::size_t col = 2; col < row.size(); ++col) {
+        EXPECT_TRUE(row[col].is_null()) << id << " column " << col;
+      }
+      if (ref[1].as_bool().value_or(false)) ++overridden;
+    }
+  }
+  return overridden;
+}
+
+// Digests recorded from the barriered executor while it still assembled its
+// catalog with concat_results after the execution barrier. Both modes now
+// stream rows through StreamingCatalogWriter, so these pin that the
+// barriered bytes did not move.
+TEST(Dataflow, BarrieredCatalogDigestsArePinned) {
+  auto clean = Campaign(small_config(portal::ExecutionMode::kBarriered)).run();
+  ASSERT_TRUE(clean.ok()) << clean.error().to_string();
+  EXPECT_EQ(catalogs_digest(clean.value()), 0xd8df5d48e5e3c515ull);
+
+  Campaign wounded(outage_config(portal::ExecutionMode::kBarriered));
+  auto report = wounded.run();
+  ASSERT_TRUE(report.ok()) << report.error().to_string();
+  EXPECT_EQ(catalogs_digest(report.value()), 0x58ef7c6b9addec2bull);
+}
+
+TEST(Dataflow, GridFailedRowsMatchTheTraceInBothModes) {
+  for (const portal::ExecutionMode mode :
+       {portal::ExecutionMode::kBarriered, portal::ExecutionMode::kPipelined}) {
+    auto clean = Campaign(small_config(mode)).run();
+    ASSERT_TRUE(clean.ok()) << clean.error().to_string();
+    Campaign wounded(outage_config(mode));
+    auto report = wounded.run();
+    ASSERT_TRUE(report.ok()) << report.error().to_string();
+    EXPECT_GT(check_grid_failure_rows(wounded, report.value(), clean.value()), 0u)
+        << "the outage must void some kernel-valid rows";
+  }
 }
 
 // ---------------------------------------------------------------------------

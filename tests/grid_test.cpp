@@ -484,6 +484,37 @@ TEST(Rescue, RunWithRescueAllSucceededStopsAfterOneRound) {
   EXPECT_EQ(outcome->final_report.jobs_succeeded, 3u);
 }
 
+TEST(Rescue, RunWithRescueSumsRunLevelCountersOverRounds) {
+  Grid g;
+  (void)g.add_site({"s", 4, 1.0, 10.0, 100.0});
+  FailureModel failure;  // default budget: 2 node-level retries per round
+  failure.permanent_failures.insert("j1");
+  const vds::Dag dag = compute_chain(4, "s");
+
+  DagManSim dagman(g, JobCostModel{}, failure);
+  auto outcome = run_with_rescue(dagman, dag, 3);
+  ASSERT_TRUE(outcome.ok());
+  ASSERT_EQ(outcome->rounds, 3u);
+
+  // The same rounds replayed by hand on a fresh engine with the same seed.
+  DagManSim replay(g, JobCostModel{}, failure);
+  std::size_t retries = 0;
+  std::map<std::string, double> busy;
+  vds::Dag current = dag;
+  for (int round = 0; round < 3; ++round) {
+    auto report = replay.run(current);
+    ASSERT_TRUE(report.ok());
+    retries += report->retries;
+    for (const auto& [site, t] : report->site_busy_seconds) busy[site] += t;
+    auto rescue = make_rescue_dag(current, report.value());
+    ASSERT_TRUE(rescue.ok());
+    current = std::move(rescue.value());
+  }
+  EXPECT_EQ(retries, 3u * static_cast<std::size_t>(failure.max_retries));
+  EXPECT_EQ(outcome->final_report.retries, retries);
+  EXPECT_EQ(outcome->final_report.site_busy_seconds, busy);
+}
+
 TEST(Rescue, RunWithRescueEmptyDagIsEmptyOutcome) {
   Grid g = make_paper_grid();
   DagManSim dagman(g, JobCostModel{}, FailureModel{});

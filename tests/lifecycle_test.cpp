@@ -370,8 +370,6 @@ TEST(Lifecycle, ChaosOverloadSweepDropsWorkWithoutCorruptingSurvivors) {
 analysis::CampaignConfig hedging_campaign(bool hedged) {
   analysis::CampaignConfig config = small_campaign();
   config.hedge_stage_ins = hedged;
-  config.hedge_quantile = 0.75;
-  config.hedge_min_samples = 6;
   // Periodic short brownouts on the cutout path: most fetches are fast, a
   // minority land in a window and straggle — the tail hedging defends.
   for (int i = 0; i < 400; ++i) {
