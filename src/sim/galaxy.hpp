@@ -82,6 +82,10 @@ struct GalaxyLight {
   };
   double cx = 0.0, cy = 0.0;
   int supersample = 3;
+  /// Sum of the pixel-centre values' absolute second differences at or
+  /// above which a pixel outside the core is integrated on the supersample
+  /// grid (see render_light); 0 integrates every pixel on it.
+  double refine_curvature = 0.0;
   double norm = 0.0;       ///< Sersic peak scaled to the body's total flux
   double cusp_soft = 0.0;  ///< radius the central cusp is softened at
   SersicShape sersic{1.0, 1.0};
@@ -95,12 +99,19 @@ struct GalaxyLight {
 GalaxyLight prepare_galaxy_light(const GalaxyTruth& g, double cx, double cy, int width,
                                  int height, const RenderOptions& opts);
 
-/// Adds every placement's light (no noise, no sky) to `frame`, one row
-/// band per executor index. Each band walks `lights` in order and adds, for
-/// its row only, the smooth profile and then each clump, so every pixel
+/// Adds every placement's light (no noise, no sky) to `frame`, one 8-row
+/// block per executor index. Each block walks `lights` in order and adds,
+/// for its rows only, the smooth profile and then each clump, so every pixel
 /// receives its terms in the same order whatever the executor: the frame is
-/// bit-identical to the serial render (a null executor). Bands only write
+/// bit-identical to the serial render (a null executor). Blocks only write
 /// their own rows.
+///
+/// With supersample s > 1 and a noisy frame, a pixel's profile term is the
+/// s x s integral only within 3 softened r_e of the light's centre or where
+/// the midpoint rule's estimated error reaches half of 1% of the frame's
+/// noise floor, and the pixel-centre value elsewhere. Either way it is a
+/// pure function of the light and the pixel, so the block split does not
+/// show.
 void render_light(image::Image& frame, const std::vector<GalaxyLight>& lights,
                   const ParallelFor* executor);
 

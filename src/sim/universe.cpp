@@ -190,6 +190,28 @@ image::FitsFile Universe::galaxy_cutout(const Cluster& cluster,
   });
 }
 
+std::vector<GalaxyLight> cutout_lights(const Cluster& cluster, const GalaxyTruth& galaxy,
+                                       int size, const RenderOptions& render) {
+  const double c = (size - 1) / 2.0;
+  // Main galaxy plus any neighbor whose light reaches the frame.
+  std::vector<GalaxyLight> lights;
+  lights.push_back(prepare_galaxy_light(galaxy, c, c, size, size, render));
+  const double frame_arcmin =
+      size * render.pixel_scale_arcsec / 60.0;  // full frame width
+  for (const GalaxyTruth& other : cluster.galaxies) {
+    if (other.id == galaxy.id) continue;
+    const double sep_arcmin =
+        sky::angular_separation_deg(galaxy.position, other.position) * 60.0;
+    if (sep_arcmin > frame_arcmin) continue;
+    // Tangent-plane offset of the neighbor in cutout pixels.
+    const sky::TangentPlane tp = sky::project_tan(galaxy.position, other.position);
+    const double px = c - tp.xi_deg * sky::kArcsecPerDeg / render.pixel_scale_arcsec;
+    const double py = c + tp.eta_deg * sky::kArcsecPerDeg / render.pixel_scale_arcsec;
+    lights.push_back(prepare_galaxy_light(other, px, py, size, size, render));
+  }
+  return lights;
+}
+
 image::FitsFile synthesize_galaxy_cutout(const Cluster& cluster,
                                          const GalaxyTruth& galaxy, int size,
                                          const RenderOptions& render,
@@ -198,36 +220,17 @@ image::FitsFile synthesize_galaxy_cutout(const Cluster& cluster,
                                          const ParallelFor* executor) {
   image::FitsFile out;
   out.data = image::Image(size, size, 0.0f);
-  const double c = (size - 1) / 2.0;
-  const RenderOptions& opts = render;
-
-  // Main galaxy plus any neighbor whose light reaches the frame.
-  std::vector<GalaxyLight> lights;
-  lights.push_back(prepare_galaxy_light(galaxy, c, c, size, size, opts));
-  const double frame_arcmin =
-      size * opts.pixel_scale_arcsec / 60.0;  // full frame width
-  for (const GalaxyTruth& other : cluster.galaxies) {
-    if (other.id == galaxy.id) continue;
-    const double sep_arcmin =
-        sky::angular_separation_deg(galaxy.position, other.position) * 60.0;
-    if (sep_arcmin > frame_arcmin) continue;
-    // Tangent-plane offset of the neighbor in cutout pixels.
-    const sky::TangentPlane tp = sky::project_tan(galaxy.position, other.position);
-    const double px = c - tp.xi_deg * sky::kArcsecPerDeg / opts.pixel_scale_arcsec;
-    const double py = c + tp.eta_deg * sky::kArcsecPerDeg / opts.pixel_scale_arcsec;
-    lights.push_back(prepare_galaxy_light(other, px, py, size, size, opts));
-  }
-  render_light(out.data, lights, executor);
+  render_light(out.data, cutout_lights(cluster, galaxy, size, render), executor);
 
   Rng noise_rng(galaxy.seed ^ 0x0157EEDull);
-  apply_noise(out.data, opts, noise_rng);
+  apply_noise(out.data, render, noise_rng);
   if (galaxy_cutout_is_corrupted(galaxy, universe_seed, corruption_rate)) {
     Rng crng(galaxy.seed ^ 0xBADBEEFull);
     corrupt_image(out.data, crng);
   }
 
   const image::Wcs wcs = image::Wcs::centered(
-      galaxy.position, size, size, opts.pixel_scale_arcsec / sky::kArcsecPerDeg);
+      galaxy.position, size, size, render.pixel_scale_arcsec / sky::kArcsecPerDeg);
   wcs.to_header(out.header);
   out.header.set_string("OBJECT", galaxy.id, "galaxy");
   out.header.set_real("REDSHIFT", galaxy.redshift, "");

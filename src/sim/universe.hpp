@@ -107,6 +107,12 @@ bool galaxy_cutout_is_corrupted(const GalaxyTruth& galaxy,
                                 std::uint64_t universe_seed,
                                 double corruption_rate);
 
+/// The light a cutout of `galaxy` holds: the target at the frame centre,
+/// then every neighbour within a frame width of it, in cluster order, each
+/// prepared under `render` (the first step of synthesize_galaxy_cutout).
+std::vector<GalaxyLight> cutout_lights(const Cluster& cluster, const GalaxyTruth& galaxy,
+                                       int size, const RenderOptions& render);
+
 /// Pure cutout synthesis, bypassing the RenderCache: bit-identical to the
 /// frame Universe::galaxy_cutout serves (the Universe method is this
 /// function behind the process-wide cache). Survey-scale pipelines that

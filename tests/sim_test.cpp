@@ -2,7 +2,9 @@
 // cluster generation (Dressler mixing), X-ray maps, and the campaign layout.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -531,6 +533,117 @@ ParallelFor shared_executor(grid::ThreadPool& pool) {
   return [&pool](std::size_t n, const std::function<void(std::size_t)>& fn) {
     grid::parallel_for_shared(pool, n, fn);
   };
+}
+
+RenderOptions noiseless(RenderOptions opts) {
+  opts.poisson_noise = false;
+  opts.read_noise = 0.0;
+  opts.sky_level = 0.0;
+  return opts;
+}
+
+std::uint64_t pixel_digest(const image::Image& frame) {
+  return hash64(reinterpret_cast<const char*>(frame.pixels().data()),
+                frame.size() * sizeof(float));
+}
+
+// The noiseless light (target plus neighbours, no sky, no noise) of a
+// campaign cutout, as synthesize_galaxy_cutout accumulates it.
+image::Image cutout_light(const Cluster& cl, const GalaxyTruth& g, const RenderOptions& opts,
+                          const ParallelFor* executor) {
+  image::Image frame(64, 64, 0.0f);
+  render_light(frame, cutout_lights(cl, g, 64, opts), executor);
+  return frame;
+}
+
+// Ground truth for the adaptive renderer, on the light of every scale-0.15
+// campaign cutout (target plus neighbours, no sky, no noise). The adaptive
+// light uses the campaign's noisy options; the uniform 3x3 light the same
+// options made noiseless, whose refinement tolerance is 0; the reference a
+// uniform 15x15 grid.
+TEST(Synthesis, AdaptiveLightTracksTheUniformReference) {
+  const Universe u = Universe::make_paper_campaign(20031115, 0.15);
+  const RenderOptions campaign = u.config().render;
+  ASSERT_EQ(campaign.supersample, 3);
+  const RenderOptions uniform = noiseless(campaign);
+  RenderOptions reference = uniform;
+  reference.supersample = 15;
+  // 1% of the frame's noise floor: the most the rule lets one light's
+  // centre value differ from its 3x3 integral.
+  const double tolerance =
+      0.01 * std::sqrt(campaign.sky_level + campaign.read_noise * campaign.read_noise);
+  grid::ThreadPool pool(2);
+  const ParallelFor executor = shared_executor(pool);
+
+  double worst = 0.0, adaptive_error = 0.0, uniform_error = 0.0;
+  double adaptive_flux = 0.0, reference_flux = 0.0;
+  std::size_t cutouts = 0;
+  for (const Cluster& cl : u.clusters()) {
+    for (const GalaxyTruth& g : cl.galaxies) {
+      // The rule, light by light: overlapping lights add their errors.
+      const std::vector<GalaxyLight> adaptive_lights = cutout_lights(cl, g, 64, campaign);
+      const std::vector<GalaxyLight> uniform_lights = cutout_lights(cl, g, 64, uniform);
+      for (std::size_t k = 0; k < adaptive_lights.size(); ++k) {
+        image::Image a(64, 64, 0.0f), b(64, 64, 0.0f);
+        render_light(a, {adaptive_lights[k]}, &executor);
+        render_light(b, {uniform_lights[k]}, &executor);
+        for (std::size_t i = 0; i < a.size(); ++i) {
+          worst = std::max(worst, std::fabs(double{a.pixels()[i]} - b.pixels()[i]));
+        }
+      }
+
+      const image::Image adaptive = cutout_light(cl, g, campaign, &executor);
+      const image::Image grid3 = cutout_light(cl, g, uniform, &executor);
+      const image::Image truth = cutout_light(cl, g, reference, &executor);
+      for (std::size_t i = 0; i < truth.size(); ++i) {
+        adaptive_error += std::fabs(double{adaptive.pixels()[i]} - truth.pixels()[i]);
+        uniform_error += std::fabs(double{grid3.pixels()[i]} - truth.pixels()[i]);
+      }
+      // The uniform 3x3 grid itself misses the reference's flux by more
+      // than 1e-3 on a few cutouts, so per cutout the adaptive flux is held
+      // to the uniform grid's, and in total to the reference's.
+      EXPECT_NEAR(adaptive.total_flux(), grid3.total_flux(), 1e-3 * truth.total_flux())
+          << g.id;
+      adaptive_flux += adaptive.total_flux();
+      reference_flux += truth.total_flux();
+      ++cutouts;
+    }
+  }
+  ASSERT_EQ(cutouts, 233u);
+  EXPECT_LE(worst, tolerance);
+  EXPECT_NEAR(adaptive_flux, reference_flux, 1e-3 * reference_flux);
+  EXPECT_LE(adaptive_error, 1.1 * uniform_error);
+  std::printf("worst %.4f of tolerance %.4f; mean |error| adaptive %.5f uniform %.5f; "
+              "flux adaptive/reference - 1 = %.2e\n",
+              worst, tolerance, adaptive_error / (cutouts * 4096.0),
+              uniform_error / (cutouts * 4096.0), adaptive_flux / reference_flux - 1.0);
+}
+
+// Noiseless options give a tolerance of 0, so every pixel keeps the s x s
+// integral: the digests were recorded from the renderer before adaptive
+// integration, which integrated every pixel on the uniform grid.
+TEST(Synthesis, NoiselessLightKeepsTheUniformGrid) {
+  const Universe u = Universe::make_paper_campaign(20031115, 0.15);
+  const RenderOptions opts = noiseless(u.config().render);
+  std::vector<std::uint64_t> all;
+  for (const Cluster& cl : u.clusters()) {
+    for (const GalaxyTruth& g : cl.galaxies) {
+      all.push_back(pixel_digest(cutout_light(cl, g, opts, nullptr)));
+    }
+  }
+  ASSERT_EQ(all.size(), 233u);
+  EXPECT_EQ(fold_digests(all), 0x287fc069a7d65802ull);
+
+  GalaxyTruth g = elliptical_truth();
+  g.id = "TEST_IRR";
+  g.seed = hash64(g.id);
+  g.type = MorphType::kIrregular;
+  g.sersic_n = 1.2;
+  g.axis_ratio = 0.6;
+  g.position_angle_rad = 0.7;
+  g.arm_amplitude = 0.4;
+  g.clumpiness = 0.3;
+  EXPECT_EQ(pixel_digest(render_galaxy(g, 64, opts)), 0xa9f69aed90f25a7cull);
 }
 
 TEST(Synthesis, BandedCutoutsMatchSerialBytesAtEveryThreadCount) {
