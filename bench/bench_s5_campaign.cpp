@@ -234,17 +234,20 @@ void BM_PipelineOverlap(benchmark::State& state) {
     analysis::Campaign campaign(config);
     auto report = campaign.run();
     if (!report.ok()) return false;
-    sim_seconds += campaign_service_sim_seconds(campaign, *report);
+    sim_seconds = campaign_service_sim_seconds(campaign, *report);
     for (const auto& c : report->clusters) catalogs.push_back(c.catalog_xml);
     return true;
   };
+  // The sim clock is deterministic, so every iteration yields the same
+  // figures; the counters report one iteration's, not an average whose last
+  // bits would depend on the iteration count.
   double barriered_s = 0.0, pipelined_s = 0.0;
+  bool first = true;
   for (auto _ : state) {
+    double barriered = 0.0, pipelined = 0.0;
     std::vector<std::string> barriered_cat, pipelined_cat;
-    if (!run_mode(portal::ExecutionMode::kBarriered, barriered_s,
-                  barriered_cat) ||
-        !run_mode(portal::ExecutionMode::kPipelined, pipelined_s,
-                  pipelined_cat)) {
+    if (!run_mode(portal::ExecutionMode::kBarriered, barriered, barriered_cat) ||
+        !run_mode(portal::ExecutionMode::kPipelined, pipelined, pipelined_cat)) {
       state.SkipWithError("campaign run failed");
       return;
     }
@@ -252,12 +255,16 @@ void BM_PipelineOverlap(benchmark::State& state) {
       state.SkipWithError("pipelined catalogs diverged from barriered baseline");
       return;
     }
+    if (!first && (barriered != barriered_s || pipelined != pipelined_s)) {
+      state.SkipWithError("sim-clock figures differ between iterations");
+      return;
+    }
+    barriered_s = barriered;
+    pipelined_s = pipelined;
+    first = false;
   }
-  const double iters = static_cast<double>(state.iterations());
-  state.counters["barriered_sim_seconds"] =
-      benchmark::Counter(barriered_s / iters);
-  state.counters["pipelined_sim_seconds"] =
-      benchmark::Counter(pipelined_s / iters);
+  state.counters["barriered_sim_seconds"] = benchmark::Counter(barriered_s);
+  state.counters["pipelined_sim_seconds"] = benchmark::Counter(pipelined_s);
   state.counters["overlap_speedup"] = benchmark::Counter(
       pipelined_s > 0.0 ? barriered_s / pipelined_s : 0.0);
 }

@@ -40,12 +40,14 @@ void hash_render_options(ContentHash& h, const RenderOptions& opts) {
   h.i32(opts.supersample);
 }
 
-void hash_cluster_population(ContentHash& h, const Cluster& cluster) {
+std::uint64_t hash_cluster_population(const Cluster& cluster) {
+  ContentHash h;
   h.text(cluster.name());
   h.f64(cluster.center().ra_deg);
   h.f64(cluster.center().dec_deg);
   h.u64(cluster.galaxies.size());
   for (const GalaxyTruth& g : cluster.galaxies) hash_galaxy(h, g);
+  return h.value();
 }
 
 }  // namespace
@@ -92,6 +94,14 @@ Universe Universe::make_paper_campaign(std::uint64_t seed, double population_sca
 
 void Universe::add_cluster(const ClusterSpec& spec) {
   clusters_.push_back(generate_cluster(spec, config_.cosmology));
+  population_digests_.push_back(hash_cluster_population(clusters_.back()));
+}
+
+std::uint64_t Universe::population_digest(const Cluster& cluster) const {
+  for (std::size_t i = 0; i < clusters_.size(); ++i) {
+    if (&clusters_[i] == &cluster) return population_digests_[i];
+  }
+  return hash_cluster_population(cluster);
 }
 
 const Cluster* Universe::find_cluster(const std::string& name) const {
@@ -108,7 +118,7 @@ image::FitsFile Universe::optical_field(const Cluster& cluster, int size,
   key.i32(size);
   key.f64(pixel_scale_arcsec);
   hash_render_options(key, config_.render);
-  hash_cluster_population(key, cluster);
+  key.u64(population_digest(cluster));
   return RenderCache::instance().get_or_render(key.value(), [&] {
     return render_optical_field(cluster, size, pixel_scale_arcsec);
   });
@@ -184,7 +194,7 @@ image::FitsFile Universe::galaxy_cutout(const Cluster& cluster,
   key.f64(config_.corruption_rate);
   hash_render_options(key, config_.render);
   hash_galaxy(key, galaxy);
-  hash_cluster_population(key, cluster);
+  key.u64(population_digest(cluster));
   return RenderCache::instance().get_or_render(key.value(), [&] {
     return render_galaxy_cutout(cluster, galaxy, size);
   });

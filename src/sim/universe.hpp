@@ -95,8 +95,14 @@ class Universe {
   image::FitsFile render_galaxy_cutout(const Cluster& cluster,
                                        const GalaxyTruth& galaxy, int size) const;
 
+  /// Content digest of every member's truth record, for RenderCache keys:
+  /// hashed once per owned cluster in add_cluster (clusters_ is never
+  /// modified after), and afresh for a cluster the universe does not own.
+  std::uint64_t population_digest(const Cluster& cluster) const;
+
   UniverseConfig config_;
   std::vector<Cluster> clusters_;
+  std::vector<std::uint64_t> population_digests_;  ///< one per clusters_ entry
   const ParallelFor* render_executor_ = nullptr;
 };
 

@@ -401,6 +401,28 @@ TEST(Universe, CutoutCenteredOnGalaxy) {
   EXPECT_GT(center_flux, corner_flux * 1.2);
 }
 
+TEST(Universe, CutoutCacheKeyCoversEveryMember) {
+  const Universe u = Universe::make_paper_campaign(20031115, 0.15);
+  const Cluster& owned = u.clusters().back();
+  RenderCache& cache = RenderCache::instance();
+  cache.clear();
+  const std::vector<std::uint8_t> first =
+      image::write_fits(u.galaxy_cutout(owned, owned.galaxies.front(), 64));
+
+  // A copy the universe does not own has the same content, so the same key.
+  Cluster copy = owned;
+  const RenderCache::Stats before_hit = cache.stats();
+  EXPECT_EQ(image::write_fits(u.galaxy_cutout(copy, copy.galaxies.front(), 64)), first);
+  EXPECT_EQ(cache.stats().hits, before_hit.hits + 1);
+
+  // Changing any member's truth, even one far from the target, misses.
+  copy.galaxies.back().sersic_n += 0.5;
+  const RenderCache::Stats before_miss = cache.stats();
+  (void)u.galaxy_cutout(copy, copy.galaxies.front(), 64);
+  EXPECT_EQ(cache.stats().misses, before_miss.misses + 1);
+  EXPECT_EQ(cache.stats().hits, before_miss.hits);
+}
+
 TEST(Universe, CorruptionRateApproximatelyHonored) {
   sim::UniverseConfig cfg;
   cfg.corruption_rate = 0.25;
