@@ -1,13 +1,13 @@
 // Durable campaign checkpoint journal. The paper's workflow layer survives
 // node failures with DAGMan rescue DAGs — "a rescue DAG is produced which
-// can be used to resume the computation at a later time" (§4) — but our
-// rescue DAGs lived only in memory inside one run_with_rescue loop, so a
-// killed campaign restarted from zero. This journal is the durable half of
-// that promise: an append-only, versioned, checksummed record stream that
-// persists DAG node completions, staged-replica registrations, and
-// per-galaxy morphology rows, and that loads tolerantly — a truncated tail
-// (the kill arrived mid-write) silently marks the resume point instead of
-// poisoning the file.
+// can be used to resume the computation at a later time" (§4) — but a
+// rescue DAG built in memory inside one request's rescue rounds dies with
+// the process, so a killed campaign would restart from zero. This journal
+// is the durable half of that promise: an append-only, versioned,
+// checksummed record stream that persists DAG node completions,
+// staged-replica registrations, and per-galaxy morphology rows, and that
+// loads tolerantly — a truncated tail (the kill arrived mid-write) silently
+// marks the resume point instead of poisoning the file.
 //
 // Format (text framing, binary-safe payloads):
 //   NVOCKPT 1\n

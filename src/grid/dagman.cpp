@@ -1,14 +1,9 @@
 #include "grid/dagman.hpp"
 
 #include <algorithm>
-#include <cassert>
-#include <chrono>
-#include <condition_variable>
 #include <deque>
-#include <mutex>
 #include <queue>
 
-#include "common/log.hpp"
 #include "common/strings.hpp"
 
 namespace nvo::grid {
@@ -421,147 +416,6 @@ Expected<RunReport> DagManSim::run(const vds::Dag& dag) {
   for (const std::string& id : dag.node_ids()) {
     const NodeResult& r = results[id];
     if (r.outcome == NodeOutcome::kSkipped) ++report.jobs_skipped;
-    report.nodes.push_back(r);
-  }
-  report.workflow_succeeded = report.jobs_succeeded == report.jobs_total;
-  return report;
-}
-
-// ---------------------------------------------------------------------------
-// DagManLocal
-// ---------------------------------------------------------------------------
-
-void DagManLocal::register_payload(const std::string& transformation, Payload payload) {
-  payloads_[transformation] = std::move(payload);
-}
-
-Expected<RunReport> DagManLocal::run(const vds::Dag& dag) {
-  auto order = dag.topological_order();
-  if (!order.ok()) return order.error();
-
-  // Pre-flight: every compute node needs a payload.
-  for (const std::string& id : dag.node_ids()) {
-    const vds::DagNode* n = dag.node(id);
-    if (n->type == vds::JobType::kCompute && !payloads_.count(n->transformation)) {
-      return Error(ErrorCode::kNotFound,
-                   "no payload registered for transformation '" + n->transformation +
-                       "'");
-    }
-  }
-
-  struct State {
-    std::mutex mutex;
-    std::condition_variable done_cv;
-    std::map<std::string, std::size_t> waiting_parents;
-    std::map<std::string, NodeResult> results;
-    std::size_t outstanding = 0;  // dispatched but not finished
-  };
-  State state;
-  for (const std::string& id : dag.node_ids()) {
-    state.waiting_parents[id] = dag.parents(id).size();
-    NodeResult r;
-    r.id = id;
-    state.results[id] = r;
-  }
-
-  const auto t0 = std::chrono::steady_clock::now();
-  auto wall_seconds = [&t0] {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  };
-
-  // Recursive dispatch: run a node's payload on the pool; on success push
-  // newly-ready children. The caller must have incremented
-  // state.outstanding for `id` already (under the lock), so the counter can
-  // never dip to zero while a ready child awaits submission.
-  std::function<void(const std::string&)> dispatch = [&](const std::string& id) {
-    pool_.submit([&, id] {
-      const vds::DagNode* n = dag.node(id);
-      const double start = wall_seconds();
-      Status status = Status::Ok();
-      switch (n->type) {
-        case vds::JobType::kCompute:
-          status = payloads_.at(n->transformation)(*n);
-          break;
-        case vds::JobType::kTransfer:
-          if (transfer_hook_) status = transfer_hook_(*n);
-          break;
-        case vds::JobType::kRegister:
-          if (register_hook_) status = register_hook_(*n);
-          break;
-      }
-      std::vector<std::string> ready;
-      {
-        std::lock_guard lock(state.mutex);
-        NodeResult& r = state.results[id];
-        r.attempts = 1;
-        r.start_seconds = start;
-        r.end_seconds = wall_seconds();
-        r.site = n->site;
-        if (status.ok()) {
-          r.outcome = NodeOutcome::kSucceeded;
-          for (const std::string& child : dag.children(id)) {
-            if (--state.waiting_parents[child] == 0) {
-              ready.push_back(child);
-              ++state.outstanding;  // reserve before our own decrement
-            }
-          }
-        } else {
-          r.outcome = NodeOutcome::kFailed;
-          log_warn("dagman", "node " + id + " failed: " + status.error().to_string());
-        }
-        --state.outstanding;
-        if (state.outstanding == 0) state.done_cv.notify_all();
-      }
-      for (const std::string& child : ready) dispatch(child);
-    });
-  };
-
-  std::vector<std::string> roots;
-  {
-    std::lock_guard lock(state.mutex);
-    for (const std::string& id : dag.node_ids()) {
-      if (state.waiting_parents[id] == 0) {
-        roots.push_back(id);
-        ++state.outstanding;
-      }
-    }
-  }
-  for (const std::string& id : roots) dispatch(id);
-
-  {
-    std::unique_lock lock(state.mutex);
-    state.done_cv.wait(lock, [&] { return state.outstanding == 0; });
-  }
-  pool_.wait_idle();
-
-  RunReport report;
-  report.jobs_total = dag.num_nodes();
-  report.makespan_seconds = wall_seconds();
-  for (const std::string& id : dag.node_ids()) {
-    const vds::DagNode* n = dag.node(id);
-    switch (n->type) {
-      case vds::JobType::kCompute:
-        ++report.compute_jobs;
-        break;
-      case vds::JobType::kTransfer:
-        ++report.transfer_jobs;
-        break;
-      case vds::JobType::kRegister:
-        ++report.register_jobs;
-        break;
-    }
-    const NodeResult& r = state.results[id];
-    switch (r.outcome) {
-      case NodeOutcome::kSucceeded:
-        ++report.jobs_succeeded;
-        break;
-      case NodeOutcome::kFailed:
-        ++report.jobs_failed;
-        break;
-      case NodeOutcome::kSkipped:
-        ++report.jobs_skipped;
-        break;
-    }
     report.nodes.push_back(r);
   }
   report.workflow_succeeded = report.jobs_succeeded == report.jobs_total;

@@ -105,31 +105,4 @@ RunReport RescueTally::merged(const vds::Dag& concrete) const {
   return out;
 }
 
-Expected<RescueOutcome> run_with_rescue(DagManSim& dagman, const vds::Dag& concrete,
-                                        int max_rounds) {
-  RescueOutcome outcome;
-  RescueTally tally;
-
-  vds::Dag current = concrete;
-  for (int round = 0; round < max_rounds && !current.empty(); ++round) {
-    auto report = dagman.run(current);
-    if (!report.ok()) return report.error();
-    ++outcome.rounds;
-    tally.absorb(report.value());
-    // A complete round — whether or not the engine set the flag — is
-    // terminal: building and running a rescue DAG over zero unfinished
-    // nodes would burn a round on an empty execution.
-    if (report->workflow_succeeded || all_succeeded(report.value())) break;
-    auto rescue = make_rescue_dag(current, report.value());
-    if (!rescue.ok()) return rescue.error();
-    current = std::move(rescue.value());
-  }
-
-  // Merge the final per-node outcomes into a report shaped like a single
-  // run over the original DAG.
-  outcome.final_report = tally.merged(concrete);
-  outcome.fully_succeeded = outcome.final_report.workflow_succeeded;
-  return outcome;
-}
-
 }  // namespace nvo::grid

@@ -23,9 +23,9 @@ Expected<vds::Dag> make_rescue_dag(const vds::Dag& concrete, const RunReport& re
 /// Folds per-node final outcomes into a report shaped like a single run
 /// over `concrete`: job-class counts, succeeded/failed/skipped tallies,
 /// makespan from the latest end time. Nodes absent from `latest` are
-/// reported skipped. Shared by run_with_rescue and the checkpoint-resume
-/// path (which merges journal-recovered completions with a fresh partial
-/// run).
+/// reported skipped. RescueTally::merged builds on it, which is how the
+/// checkpoint-resume path merges journal-recovered completions with a
+/// fresh partial run.
 RunReport merge_node_outcomes(const vds::Dag& concrete,
                               const std::map<std::string, NodeResult>& latest);
 
@@ -41,21 +41,5 @@ struct RescueTally {
   /// merge_node_outcomes(concrete, latest) carrying the summed counters.
   RunReport merged(const vds::Dag& concrete) const;
 };
-
-/// Convenience loop: run, and while failures remain, rescue + rerun, up to
-/// `max_rounds`. Each round only re-attempts the unfinished portion.
-/// Returns the merged report of the final state (every node's last
-/// outcome, run-level counters summed over rounds) plus how many rounds
-/// ran. An empty DAG (or an all-succeeded
-/// first round) is the empty-rescue outcome: no degenerate rescue DAG is
-/// built and `rounds` reports only the executions actually performed (0
-/// for an empty input).
-struct RescueOutcome {
-  RunReport final_report;       ///< outcome per original node (merged)
-  std::size_t rounds = 0;       ///< executions performed (0 when nothing to run)
-  bool fully_succeeded = false;
-};
-Expected<RescueOutcome> run_with_rescue(DagManSim& dagman, const vds::Dag& concrete,
-                                        int max_rounds = 3);
 
 }  // namespace nvo::grid

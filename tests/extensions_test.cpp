@@ -1,14 +1,12 @@
 // Tests for the paper's named future-work features, implemented here: MDS
-// dynamic resource discovery (§3.2), provenance tracking (§3.3), MyProxy
-// authentication (§4.3.1 item 5), the generic table web service (§4.2/§5),
-// and the Mirage export (§4.4).
+// dynamic resource discovery (§3.2), provenance tracking (§3.3), the
+// generic table web service (§4.2/§5), and the Mirage export (§4.4).
 #include <gtest/gtest.h>
 
 #include "analysis/mirage.hpp"
 #include "common/strings.hpp"
 #include "grid/mds.hpp"
 #include "pegasus/planner.hpp"
-#include "services/myproxy.hpp"
 #include "services/table_service.hpp"
 #include "vds/chimera.hpp"
 #include "vds/provenance.hpp"
@@ -250,79 +248,6 @@ TEST(Provenance, RecordExecutionFromDag) {
   EXPECT_EQ(r->site, "uwisc");
   EXPECT_EQ(r->parameters.at("redshift"), "0.1");
   EXPECT_DOUBLE_EQ(r->completed_at_s, 99.0);
-}
-
-// ---------------------------------------------------------------------------
-// MyProxy
-// ---------------------------------------------------------------------------
-
-TEST(MyProxy, StoreRetrieveLifecycle) {
-  services::MyProxyServer server;
-  server.store("/O=NVO/CN=Jane", "hunter2", 0.0, 7 * 86400.0);
-  EXPECT_EQ(server.stored_count(), 1u);
-
-  auto proxy = server.retrieve("/O=NVO/CN=Jane", "hunter2", 10.0, 43200.0);
-  ASSERT_TRUE(proxy.ok()) << proxy.error().to_string();
-  EXPECT_EQ(proxy->delegation_depth, 1);
-  EXPECT_DOUBLE_EQ(proxy->lifetime_s, 43200.0);
-  EXPECT_TRUE(server.validate(proxy.value(), 100.0).ok());
-  // Expired proxy fails validation.
-  EXPECT_FALSE(server.validate(proxy.value(), 10.0 + 43200.0 + 1.0).ok());
-}
-
-TEST(MyProxy, WrongPassphraseAndUnknownSubject) {
-  services::MyProxyServer server;
-  server.store("/CN=A", "pw", 0.0);
-  EXPECT_FALSE(server.retrieve("/CN=A", "wrong", 1.0).ok());
-  EXPECT_FALSE(server.retrieve("/CN=B", "pw", 1.0).ok());
-}
-
-TEST(MyProxy, ProxyLifetimeCappedByStoredCredential) {
-  services::MyProxyServer server;
-  server.store("/CN=A", "pw", 0.0, 3600.0);  // one hour stored
-  auto proxy = server.retrieve("/CN=A", "pw", 1800.0, 43200.0);
-  ASSERT_TRUE(proxy.ok());
-  EXPECT_DOUBLE_EQ(proxy->lifetime_s, 1800.0);  // the remaining half hour
-  // After the stored credential expires, retrieval fails outright.
-  EXPECT_FALSE(server.retrieve("/CN=A", "pw", 3700.0).ok());
-}
-
-TEST(MyProxy, RevocationPropagates) {
-  services::MyProxyServer server;
-  server.store("/CN=A", "pw", 0.0);
-  auto proxy = server.retrieve("/CN=A", "pw", 1.0);
-  ASSERT_TRUE(proxy.ok());
-  ASSERT_TRUE(server.revoke("/CN=A").ok());
-  EXPECT_FALSE(server.validate(proxy.value(), 2.0).ok());
-  EXPECT_FALSE(server.retrieve("/CN=A", "pw", 2.0).ok());
-  EXPECT_FALSE(server.revoke("/CN=Z").ok());
-}
-
-TEST(MyProxy, DelegationChainsAndCaps) {
-  services::MyProxyServer server;
-  server.store("/CN=A", "pw", 0.0);
-  auto proxy = server.retrieve("/CN=A", "pw", 0.0, 1000.0);
-  ASSERT_TRUE(proxy.ok());
-  auto job_proxy = server.delegate(proxy.value(), 400.0, 1e9);
-  ASSERT_TRUE(job_proxy.ok());
-  EXPECT_EQ(job_proxy->delegation_depth, 2);
-  EXPECT_DOUBLE_EQ(job_proxy->lifetime_s, 600.0);  // parent's remainder
-  EXPECT_TRUE(server.validate(job_proxy.value(), 900.0).ok());
-  // Cannot delegate from an expired parent.
-  EXPECT_FALSE(server.delegate(proxy.value(), 1500.0, 10.0).ok());
-}
-
-TEST(MyProxy, ForgedSerialRejected) {
-  services::MyProxyServer server;
-  server.store("/CN=A", "pw", 0.0);
-  services::ProxyCredential forged;
-  forged.subject = "/CN=A";
-  forged.issuer = "/CN=A";
-  forged.delegation_depth = 1;
-  forged.issued_at_s = 0.0;
-  forged.lifetime_s = 1e6;
-  forged.serial = 9999;  // never issued
-  EXPECT_FALSE(server.validate(forged, 1.0).ok());
 }
 
 // ---------------------------------------------------------------------------

@@ -1,14 +1,11 @@
 // Tests for the execution substrate: thread pool, grid storage/transfer
-// model, the discrete-event DAGMan, the real-execution DAGMan, rescue
-// DAGs, and the durable checkpoint journal.
+// model, the discrete-event DAGMan, rescue DAGs, and the durable checkpoint
+// journal.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <fstream>
-#include <mutex>
 #include <set>
-#include <thread>
 
 #include "grid/checkpoint.hpp"
 #include "grid/dagman.hpp"
@@ -297,13 +294,12 @@ TEST(Rescue, PermanentFailureLandsInRescueDagExactlyOnce) {
   EXPECT_TRUE(rescue->has_node("j1"));
   EXPECT_EQ(rescue->num_nodes(), 3u);  // j1 plus its skipped descendants
 
-  auto outcome = run_with_rescue(dagman, dag, 3);
-  ASSERT_TRUE(outcome.ok());
-  EXPECT_FALSE(outcome->fully_succeeded);
-  EXPECT_EQ(outcome->rounds, 3u);
-  // Each rescue round re-attempts the hard failure exactly once; the retry
+  auto second = dagman.run(rescue.value());
+  ASSERT_TRUE(second.ok());
+  EXPECT_FALSE(second->workflow_succeeded);
+  // The rescue round re-attempts the hard failure exactly once; the retry
   // budget lives in the per-request layer, not in DAGMan reruns.
-  EXPECT_EQ(outcome->final_report.result_for("j1")->attempts, 1);
+  EXPECT_EQ(second->result_for("j1")->attempts, 1);
 }
 
 TEST(DagManSim, DeterministicInSeed) {
@@ -357,106 +353,6 @@ TEST(DagManSim, ParallelBranchesOverlap) {
 }
 
 // ---------------------------------------------------------------------------
-// DagManLocal
-// ---------------------------------------------------------------------------
-
-TEST(DagManLocal, ExecutesInDependencyOrder) {
-  ThreadPool pool(3);
-  DagManLocal dagman(pool);
-  std::mutex m;
-  std::vector<std::string> order;
-  dagman.register_payload("t", [&](const vds::DagNode& n) {
-    std::lock_guard lock(m);
-    order.push_back(n.id);
-    return Status::Ok();
-  });
-  auto report = dagman.run(compute_chain(5, ""));
-  ASSERT_TRUE(report.ok());
-  EXPECT_TRUE(report->workflow_succeeded);
-  ASSERT_EQ(order.size(), 5u);
-  for (int i = 0; i < 5; ++i) EXPECT_EQ(order[i], "j" + std::to_string(i));
-}
-
-TEST(DagManLocal, MissingPayloadIsError) {
-  ThreadPool pool(2);
-  DagManLocal dagman(pool);
-  EXPECT_FALSE(dagman.run(compute_chain(1, "")).ok());
-}
-
-TEST(DagManLocal, FailurePropagatesAsSkip) {
-  ThreadPool pool(2);
-  DagManLocal dagman(pool);
-  dagman.register_payload("t", [](const vds::DagNode& n) -> Status {
-    if (n.id == "j1") return Error(ErrorCode::kComputeFailed, "boom");
-    return Status::Ok();
-  });
-  auto report = dagman.run(compute_chain(4, ""));
-  ASSERT_TRUE(report.ok());
-  EXPECT_FALSE(report->workflow_succeeded);
-  EXPECT_EQ(report->jobs_succeeded, 1u);
-  EXPECT_EQ(report->jobs_failed, 1u);
-  EXPECT_EQ(report->jobs_skipped, 2u);
-}
-
-TEST(DagManLocal, ParallelFanOutActuallyConcurrent) {
-  ThreadPool pool(4);
-  DagManLocal dagman(pool);
-  std::atomic<int> running{0};
-  std::atomic<int> peak{0};
-  dagman.register_payload("t", [&](const vds::DagNode&) {
-    const int now = running.fetch_add(1) + 1;
-    int old_peak = peak.load();
-    while (now > old_peak && !peak.compare_exchange_weak(old_peak, now)) {
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    running.fetch_sub(1);
-    return Status::Ok();
-  });
-  vds::Dag dag;
-  for (int i = 0; i < 8; ++i) {
-    vds::DagNode n;
-    n.id = "p" + std::to_string(i);
-    n.type = vds::JobType::kCompute;
-    n.transformation = "t";
-    (void)dag.add_node(n);
-  }
-  auto report = dagman.run(dag);
-  ASSERT_TRUE(report.ok());
-  EXPECT_TRUE(report->workflow_succeeded);
-  EXPECT_GE(peak.load(), 2);  // at least two payloads overlapped
-}
-
-TEST(DagManLocal, TransferAndRegisterHooksRun) {
-  ThreadPool pool(2);
-  DagManLocal dagman(pool);
-  std::atomic<int> transfers{0}, registers{0};
-  dagman.set_transfer_hook([&](const vds::DagNode&) {
-    transfers.fetch_add(1);
-    return Status::Ok();
-  });
-  dagman.set_register_hook([&](const vds::DagNode&) {
-    registers.fetch_add(1);
-    return Status::Ok();
-  });
-  vds::Dag dag;
-  vds::DagNode tx;
-  tx.id = "tx";
-  tx.type = vds::JobType::kTransfer;
-  (void)dag.add_node(tx);
-  vds::DagNode reg;
-  reg.id = "reg";
-  reg.type = vds::JobType::kRegister;
-  (void)dag.add_node(reg);
-  (void)dag.add_edge("tx", "reg");
-  auto report = dagman.run(dag);
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(transfers.load(), 1);
-  EXPECT_EQ(registers.load(), 1);
-  EXPECT_EQ(report->transfer_jobs, 1u);
-  EXPECT_EQ(report->register_jobs, 1u);
-}
-
-// ---------------------------------------------------------------------------
 // Rescue edge cases
 // ---------------------------------------------------------------------------
 
@@ -473,56 +369,60 @@ TEST(Rescue, AllSucceededReportYieldsEmptyRescueDag) {
   EXPECT_TRUE(rescue->empty());
 }
 
-TEST(Rescue, RunWithRescueAllSucceededStopsAfterOneRound) {
-  Grid g;
-  (void)g.add_site({"s", 4, 1.0, 10.0, 100.0});
-  DagManSim dagman(g, JobCostModel{}, FailureModel{});
-  auto outcome = run_with_rescue(dagman, compute_chain(3, "s"), 5);
-  ASSERT_TRUE(outcome.ok());
-  EXPECT_TRUE(outcome->fully_succeeded);
-  EXPECT_EQ(outcome->rounds, 1u);  // no degenerate rescue round
-  EXPECT_EQ(outcome->final_report.jobs_succeeded, 3u);
-}
+TEST(Rescue, TallySumsRunLevelCountersOverRounds) {
+  const vds::Dag dag = compute_chain(3, "s");
+  // Three rounds over one workflow: j0 succeeds first; j1 fails, then
+  // succeeds in the second rescue round; j2 waits behind it.
+  auto node = [](const char* id, NodeOutcome outcome, double end) {
+    NodeResult r;
+    r.id = id;
+    r.outcome = outcome;
+    r.end_seconds = end;
+    return r;
+  };
+  RunReport first;
+  first.nodes = {node("j0", NodeOutcome::kSucceeded, 2.0),
+                 node("j1", NodeOutcome::kFailed, 4.0),
+                 node("j2", NodeOutcome::kSkipped, 0.0)};
+  first.retries = 2;
+  first.stolen_jobs = 1;
+  first.wan_bytes = 100;
+  first.site_busy_seconds = {{"s", 4.0}, {"t", 1.0}};
+  first.sites_lost = {"t"};
+  RunReport second;
+  second.nodes = {node("j1", NodeOutcome::kFailed, 6.0),
+                  node("j2", NodeOutcome::kSkipped, 0.0)};
+  second.retries = 2;
+  second.wan_bytes = 50;
+  second.jobs_expired = 1;
+  second.site_busy_seconds = {{"s", 2.0}};
+  RunReport third;
+  third.nodes = {node("j1", NodeOutcome::kSucceeded, 8.0),
+                 node("j2", NodeOutcome::kSucceeded, 10.0)};
+  third.retries = 1;
+  third.stolen_jobs = 3;
+  third.site_busy_seconds = {{"s", 4.0}, {"u", 0.5}};
+  third.sites_lost = {"u"};
 
-TEST(Rescue, RunWithRescueSumsRunLevelCountersOverRounds) {
-  Grid g;
-  (void)g.add_site({"s", 4, 1.0, 10.0, 100.0});
-  FailureModel failure;  // default budget: 2 node-level retries per round
-  failure.permanent_failures.insert("j1");
-  const vds::Dag dag = compute_chain(4, "s");
+  RescueTally tally;
+  tally.absorb(first);
+  tally.absorb(second);
+  tally.absorb(third);
+  const RunReport merged = tally.merged(dag);
 
-  DagManSim dagman(g, JobCostModel{}, failure);
-  auto outcome = run_with_rescue(dagman, dag, 3);
-  ASSERT_TRUE(outcome.ok());
-  ASSERT_EQ(outcome->rounds, 3u);
-
-  // The same rounds replayed by hand on a fresh engine with the same seed.
-  DagManSim replay(g, JobCostModel{}, failure);
-  std::size_t retries = 0;
-  std::map<std::string, double> busy;
-  vds::Dag current = dag;
-  for (int round = 0; round < 3; ++round) {
-    auto report = replay.run(current);
-    ASSERT_TRUE(report.ok());
-    retries += report->retries;
-    for (const auto& [site, t] : report->site_busy_seconds) busy[site] += t;
-    auto rescue = make_rescue_dag(current, report.value());
-    ASSERT_TRUE(rescue.ok());
-    current = std::move(rescue.value());
-  }
-  EXPECT_EQ(retries, 3u * static_cast<std::size_t>(failure.max_retries));
-  EXPECT_EQ(outcome->final_report.retries, retries);
-  EXPECT_EQ(outcome->final_report.site_busy_seconds, busy);
-}
-
-TEST(Rescue, RunWithRescueEmptyDagIsEmptyOutcome) {
-  Grid g = make_paper_grid();
-  DagManSim dagman(g, JobCostModel{}, FailureModel{});
-  auto outcome = run_with_rescue(dagman, vds::Dag{}, 5);
-  ASSERT_TRUE(outcome.ok());
-  EXPECT_TRUE(outcome->fully_succeeded);
-  EXPECT_EQ(outcome->rounds, 0u);
-  EXPECT_EQ(outcome->final_report.jobs_total, 0u);
+  // Each node reports its last outcome...
+  EXPECT_TRUE(merged.workflow_succeeded);
+  EXPECT_EQ(merged.jobs_succeeded, 3u);
+  EXPECT_DOUBLE_EQ(merged.makespan_seconds, 10.0);
+  // ...and the run-level counters are summed over every round, not reset
+  // to the zeros merge_node_outcomes alone would report.
+  EXPECT_EQ(merged.retries, 5u);
+  EXPECT_EQ(merged.stolen_jobs, 4u);
+  EXPECT_EQ(merged.wan_bytes, 150u);
+  EXPECT_EQ(merged.jobs_expired, 1u);
+  EXPECT_EQ(merged.sites_lost, (std::vector<std::string>{"t", "u"}));
+  const std::map<std::string, double> busy = {{"s", 10.0}, {"t", 1.0}, {"u", 0.5}};
+  EXPECT_EQ(merged.site_busy_seconds, busy);
 }
 
 TEST(Rescue, MergeNodeOutcomesReportsAbsentNodesSkipped) {
