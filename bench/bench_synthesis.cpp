@@ -4,7 +4,8 @@
 // campaign request. Args: supersample (1 = survey grade, 3 = campaign
 // default) and workers (0 = serial, null executor; N = row bands over an
 // N-thread pool through grid::parallel_for_shared, the executor a Campaign
-// binds, with the calling thread draining bands too).
+// binds from MorphologyService::render_executor(), with the calling thread
+// draining bands too).
 //
 // One iteration renders a fixed sample of the full-scale §5 campaign (every
 // 24th of its 1525 galaxies, so dense-core and outskirt cutouts both count);

@@ -67,7 +67,7 @@ Campaign::Campaign(CampaignConfig config) : config_(config) {
                                                          *tc_, scfg);
   // The archive renders each cutout's row bands on the compute pool, which
   // idles while the staging loop waits on the fabric handler.
-  universe_->set_render_executor(&compute_->tile_executor());
+  universe_->set_render_executor(&compute_->render_executor());
 
   portal::PortalConfig pcfg;
   pcfg.cutout_query = config_.cutout_mode;

@@ -60,8 +60,7 @@ sky::Cosmology GalMorphArgs::cosmology() const {
 }
 
 GalMorphResult run_gal_morph(const std::string& galaxy_id, const image::FitsFile& fits,
-                             const GalMorphArgs& args,
-                             const ParallelFor* tile_executor) {
+                             const GalMorphArgs& args) {
   GalMorphResult out;
   out.galaxy_id = galaxy_id;
   out.redshift = args.redshift;
@@ -69,9 +68,6 @@ GalMorphResult run_gal_morph(const std::string& galaxy_id, const image::FitsFile
   MorphologyOptions options;
   options.pixel_scale_arcsec = args.pix_scale_deg * sky::kArcsecPerDeg;
   options.zero_point = args.zero_point;
-  if (fits.data.width() >= kTileMinDim || fits.data.height() >= kTileMinDim) {
-    options.tile_executor = tile_executor;
-  }
   out.params = measure_morphology(fits.data, options);
 
   const sky::Cosmology cosmology = args.cosmology();
@@ -86,8 +82,7 @@ GalMorphResult run_gal_morph(const std::string& galaxy_id, const image::FitsFile
 
 GalMorphResult run_gal_morph_bytes(const std::string& galaxy_id,
                                    const std::vector<std::uint8_t>& fits_bytes,
-                                   const GalMorphArgs& args,
-                                   const ParallelFor* tile_executor) {
+                                   const GalMorphArgs& args) {
   auto fits = image::read_fits(fits_bytes);
   if (!fits.ok()) {
     GalMorphResult out;
@@ -97,7 +92,7 @@ GalMorphResult run_gal_morph_bytes(const std::string& galaxy_id,
     out.params.failure_reason = "undecodable FITS: " + fits.error().message;
     return out;
   }
-  return run_gal_morph(galaxy_id, fits.value(), args, tile_executor);
+  return run_gal_morph(galaxy_id, fits.value(), args);
 }
 
 std::string GalMorphResult::to_text() const {

@@ -277,7 +277,7 @@ MorphologyParams measure_morphology(const image::Image& cutout,
   // aperture, and the r20/r80 bisections — is answered from one precomputed
   // curve of growth instead of a fresh aperture scan per query.
   CurveOfGrowth& cog = workspace.cog;
-  cog.build(img, centroid.x, centroid.y, options.tile_executor);
+  cog.build(img, centroid.x, centroid.y);
 
   const auto r_p = cog.petrosian_radius(options.petrosian_eta, frame_limit);
   if (!r_p) return invalid("no Petrosian radius (source too faint or absent)");
@@ -317,31 +317,17 @@ MorphologyParams measure_morphology(const image::Image& cutout,
   for (double step : {0.5, 0.25}) {
     const double base_x = best_x;
     const double base_y = best_y;
-    // The nine candidate centers are independent; with an executor they are
-    // evaluated concurrently and the minimum is then taken in the same
-    // row-major grid order (strict <) as the serial loop, so the selected
-    // center — and therefore the refinement base — is identical.
-    double a[9];
-    if (options.tile_executor != nullptr) {
-      (*options.tile_executor)(9, [&](std::size_t i) {
-        const int dx = static_cast<int>(i % 3) - 1;
-        const int dy = static_cast<int>(i / 3) - 1;
-        a[i] = asymmetry_statistic(img, base_x + dx * step, base_y + dy * step,
-                                   aperture);
-      });
-    } else {
-      for (std::size_t i = 0; i < 9; ++i) {
-        const int dx = static_cast<int>(i % 3) - 1;
-        const int dy = static_cast<int>(i / 3) - 1;
-        a[i] = asymmetry_statistic(img, base_x + dx * step, base_y + dy * step,
-                                   aperture);
-      }
-    }
-    for (std::size_t i = 0; i < 9; ++i) {
-      if (a[i] < best) {
-        best = a[i];
-        best_x = base_x + (static_cast<int>(i % 3) - 1) * step;
-        best_y = base_y + (static_cast<int>(i / 3) - 1) * step;
+    // Candidates in row-major grid order; strict < keeps the first minimum.
+    for (int dy = -1; dy <= 1; ++dy) {
+      for (int dx = -1; dx <= 1; ++dx) {
+        const double x = base_x + dx * step;
+        const double y = base_y + dy * step;
+        const double a = asymmetry_statistic(img, x, y, aperture);
+        if (a < best) {
+          best = a;
+          best_x = x;
+          best_y = y;
+        }
       }
     }
   }

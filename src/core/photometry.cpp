@@ -31,13 +31,6 @@ inline int subsampled_coverage(int x, int y, double cx, double cy, double r2) {
   return covered;
 }
 
-// Row-band height for the tiled CurveOfGrowth build. Banding engages only
-// when an executor is supplied and the frame has at least two bands' worth
-// of rows; per-band shell sub-histograms keep the scattered entry order
-// bit-identical to the serial build regardless of execution order.
-constexpr int kBandRows = 32;
-constexpr int kMaxBands = 64;
-
 }  // namespace
 
 Centroid find_centroid(const image::Image& img, double radius, int max_iterations) {
@@ -176,8 +169,7 @@ int CurveOfGrowth::shell_of(double d2) const {
   return std::min(static_cast<int>(std::sqrt(d2)), num_shells_ - 1);
 }
 
-void CurveOfGrowth::build(const image::Image& img, double cx, double cy,
-                          const ParallelFor* par) {
+void CurveOfGrowth::build(const image::Image& img, double cx, double cy) {
   cx_ = cx;
   cy_ = cy;
   width_ = img.width();
@@ -211,82 +203,51 @@ void CurveOfGrowth::build(const image::Image& img, double cx, double cy,
     col_dx2_[x] = dx * dx;
   }
 
-  int bands = 1;
-  if (par != nullptr && height_ >= 2 * kBandRows) {
-    bands = std::min((height_ + kBandRows - 1) / kBandRows, kMaxBands);
-  }
-  const int rows_per_band = (height_ + bands - 1) / bands;
-  const auto run_bands = [&](const std::function<void(std::size_t)>& fn) {
-    if (bands > 1) {
-      (*par)(static_cast<std::size_t>(bands), fn);
-    } else {
-      for (std::size_t b = 0; b < static_cast<std::size_t>(bands); ++b) fn(b);
-    }
-  };
-
   // Counting sort into radial shells. Pass 1: per-pixel shell index (a
-  // vectorizable sqrt sweep over the column offsets) plus a per-band shell
+  // vectorizable sqrt sweep over the column offsets) plus the shell
   // histogram.
   shell_scratch_.resize(n);
-  band_cursor_.assign(static_cast<std::size_t>(bands) * num_shells_, 0);
-  run_bands([&](std::size_t b) {
-    const int y_lo = static_cast<int>(b) * rows_per_band;
-    const int y_hi = std::min(height_, y_lo + rows_per_band);
-    std::uint32_t* hist = band_cursor_.data() + b * num_shells_;
-    for (int y = y_lo; y < y_hi; ++y) {
-      const double dy = y - cy;
-      const double dy2 = dy * dy;
-      std::uint16_t* srow = shell_scratch_.data() + static_cast<std::size_t>(y) * width_;
-      for (int x = 0; x < width_; ++x) {
-        const int s = std::min(static_cast<int>(std::sqrt(col_dx2_[x] + dy2)),
-                               last_shell);
-        srow[x] = static_cast<std::uint16_t>(s);
-      }
-      for (int x = 0; x < width_; ++x) ++hist[srow[x]];
+  shell_cursor_.assign(static_cast<std::size_t>(num_shells_), 0);
+  for (int y = 0; y < height_; ++y) {
+    const double dy = y - cy;
+    const double dy2 = dy * dy;
+    std::uint16_t* srow = shell_scratch_.data() + static_cast<std::size_t>(y) * width_;
+    for (int x = 0; x < width_; ++x) {
+      const int s = std::min(static_cast<int>(std::sqrt(col_dx2_[x] + dy2)),
+                             last_shell);
+      srow[x] = static_cast<std::uint16_t>(s);
     }
-  });
-
-  // Global shell prefix, and an exclusive cursor per (band, shell): band b
-  // scatters shell s entries into its own sub-range after bands < b. Band
-  // ranges ascend with y, so the concatenated order is exactly the
-  // row-major order the serial build produces.
-  shell_start_.assign(static_cast<std::size_t>(num_shells_) + 1, 0);
-  for (int s = 0; s < num_shells_; ++s) {
-    std::uint32_t running = shell_start_[s];
-    for (int b = 0; b < bands; ++b) {
-      std::uint32_t* cur = band_cursor_.data() + static_cast<std::size_t>(b) * num_shells_ + s;
-      const std::uint32_t cnt = *cur;
-      *cur = running;
-      running += cnt;
-    }
-    shell_start_[static_cast<std::size_t>(s) + 1] = running;
+    for (int x = 0; x < width_; ++x) ++shell_cursor_[srow[x]];
   }
 
-  // Pass 2: scatter into the structure-of-arrays layout. Entries are
-  // unordered within a shell as far as queries care; the fixed scatter
-  // order only matters for making the flux prefixes reproducible.
+  // Shell prefix, and an exclusive scatter cursor per shell.
+  shell_start_.assign(static_cast<std::size_t>(num_shells_) + 1, 0);
+  for (int s = 0; s < num_shells_; ++s) {
+    const std::uint32_t cnt = shell_cursor_[s];
+    shell_cursor_[s] = shell_start_[s];
+    shell_start_[static_cast<std::size_t>(s) + 1] = shell_start_[s] + cnt;
+  }
+
+  // Pass 2: scatter into the structure-of-arrays layout in row-major order.
+  // Entries are unordered within a shell as far as queries care; the fixed
+  // scatter order only matters for making the flux prefixes reproducible.
   d2_.resize(n);
   value_.resize(n);
   x_.resize(n);
   y_.resize(n);
-  run_bands([&](std::size_t b) {
-    const int y_lo = static_cast<int>(b) * rows_per_band;
-    const int y_hi = std::min(height_, y_lo + rows_per_band);
-    std::uint32_t* cursor = band_cursor_.data() + b * num_shells_;
-    for (int y = y_lo; y < y_hi; ++y) {
-      const double dy = y - cy;
-      const double dy2 = dy * dy;
-      const std::uint16_t* srow =
-          shell_scratch_.data() + static_cast<std::size_t>(y) * width_;
-      for (int x = 0; x < width_; ++x) {
-        const std::uint32_t idx = cursor[srow[x]]++;
-        d2_[idx] = col_dx2_[x] + dy2;
-        value_[idx] = img.at(x, y);
-        x_[idx] = static_cast<std::uint16_t>(x);
-        y_[idx] = static_cast<std::uint16_t>(y);
-      }
+  for (int y = 0; y < height_; ++y) {
+    const double dy = y - cy;
+    const double dy2 = dy * dy;
+    const std::uint16_t* srow =
+        shell_scratch_.data() + static_cast<std::size_t>(y) * width_;
+    for (int x = 0; x < width_; ++x) {
+      const std::uint32_t idx = shell_cursor_[srow[x]]++;
+      d2_[idx] = col_dx2_[x] + dy2;
+      value_[idx] = img.at(x, y);
+      x_[idx] = static_cast<std::uint16_t>(x);
+      y_[idx] = static_cast<std::uint16_t>(y);
     }
-  });
+  }
 
   // Per-shell flux sums (each summed in scatter order), then the prefix.
   shell_flux_prefix_.resize(static_cast<std::size_t>(num_shells_) + 1);

@@ -18,7 +18,6 @@
 #include <optional>
 #include <vector>
 
-#include "common/parallel.hpp"
 #include "image/image.hpp"
 
 namespace nvo::core {
@@ -75,13 +74,10 @@ class CurveOfGrowth {
   CurveOfGrowth() = default;
 
   /// (Re)builds the curve for `img` about (cx, cy). The image reference is
-  /// not retained. Clears any previous state. When `par` is non-null and the
-  /// frame is large, the histogram/scatter passes are tiled over row bands
-  /// through it; per-band shell sub-histograms give every band an exclusive
-  /// destination range, so the scattered order — and therefore every flux
-  /// prefix — is bit-identical to the serial build.
-  void build(const image::Image& img, double cx, double cy,
-             const ParallelFor* par = nullptr);
+  /// not retained. Clears any previous state. Entries are scattered in
+  /// row-major order within each shell, so every flux prefix is
+  /// reproducible.
+  void build(const image::Image& img, double cx, double cy);
 
   bool empty() const { return value_.empty(); }
   double cx() const { return cx_; }
@@ -128,8 +124,8 @@ class CurveOfGrowth {
   std::vector<std::uint32_t> shell_start_;  ///< size num_shells + 1
   std::vector<double> shell_flux_prefix_;   ///< prefix over whole shells
   std::vector<double> col_dx2_;             ///< build scratch: (x-cx)^2 per column
-  std::vector<std::uint32_t> band_cursor_;  ///< build scratch: per-band shell cursors
-  std::vector<std::uint16_t> shell_scratch_;    ///< build-time per-pixel shell
+  std::vector<std::uint32_t> shell_cursor_;  ///< build scratch: per-shell cursors
+  std::vector<std::uint16_t> shell_scratch_;  ///< build scratch: per-pixel shell
   double cx_ = 0.0;
   double cy_ = 0.0;
   int width_ = 0;

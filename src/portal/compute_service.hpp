@@ -222,11 +222,10 @@ class MorphologyService {
   /// The service-lifetime kernel pool (queue/active/idle observables).
   const grid::ThreadPool& pool() const { return pool_; }
 
-  /// The pool-backed parallel-for the kernel tiles large cutouts over
-  /// (grid::parallel_for_shared on pool()). The campaign also binds it to
-  /// its universe as the archive renderer's row-band executor. Lives as long
-  /// as the service.
-  const ParallelFor& tile_executor() const { return tile_executor_; }
+  /// The pool-backed parallel-for (grid::parallel_for_shared on pool())
+  /// that the campaign binds to its universe as the archive renderer's
+  /// row-band executor. Lives as long as the service.
+  const ParallelFor& render_executor() const { return render_executor_; }
 
   /// Registers this service's metrics (staging client, replica cache,
   /// kernel pool) under "client.compute.*", "cache.replica.*" and "pool.*",
@@ -280,11 +279,10 @@ class MorphologyService {
   // (and with them the kernel's thread-local workspaces), instead of being
   // spawned and joined inside every request.
   grid::ThreadPool pool_;
-  // Intra-kernel executor handed to run_gal_morph for large (>= 128px)
-  // cutouts: tiled kernel stages fan back out over the same pool via
-  // parallel_for_shared, which is safe to enter from a pool worker (the
-  // worker itself drains chunks, so a fully-busy pool cannot deadlock).
-  ParallelFor tile_executor_;
+  // Render row bands fan out over the same pool via parallel_for_shared,
+  // which is safe to enter from a pool worker (the worker itself drains
+  // chunks, so a fully-busy pool cannot deadlock).
+  ParallelFor render_executor_;
   // Sharded byte-budgeted LRU image store replacing the old unbounded map.
   // Entries are registered in the RLS/grid on insert and deregistered on
   // eviction, so Pegasus reduction sees exactly what is resident.

@@ -137,7 +137,7 @@ TEST(DataPlane, RenderExecutorLeavesTheCatalogByteIdentical) {
   const auto run = [&](bool bound) {
     Campaign campaign(config);
     EXPECT_EQ(campaign.universe().render_executor(),
-              &campaign.compute_service().tile_executor());
+              &campaign.compute_service().render_executor());
     if (!bound) campaign.universe().set_render_executor(nullptr);
     const std::string name = campaign.universe().clusters().front().name();
     sim::RenderCache::instance().clear();

@@ -1,8 +1,7 @@
 // Equivalence guards for the survey-scale kernel rework: the swept
 // (index-reversed, interval-based) asymmetry statistic against the scalar
-// reference it replaced, the tiled measure_morphology path against the
-// serial one, and the caller-participating parallel_for_shared loop the
-// tile executor rides on.
+// reference it replaced, and the caller-participating parallel_for_shared
+// loop the renderer's row-band executor rides on.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -51,7 +50,7 @@ void expect_asymmetry_equivalent(const Image& img, double cx, double cy,
 }
 
 // ---------------------------------------------------------------------------
-// Swept asymmetry vs the scalar reference, across the tiling size range.
+// Swept asymmetry vs the scalar reference, across cutout sizes.
 // ---------------------------------------------------------------------------
 
 TEST(SoaKernel, SweptAsymmetryMatchesReferenceAcrossSizes) {
@@ -120,52 +119,6 @@ TEST(SoaKernel, SweptAsymmetryMaskedAndEdgeCases) {
 }
 
 // ---------------------------------------------------------------------------
-// Tiled measure_morphology == serial measure_morphology, bit for bit.
-// ---------------------------------------------------------------------------
-
-void expect_params_identical(const MorphologyParams& a,
-                             const MorphologyParams& b) {
-  ASSERT_EQ(a.valid, b.valid);
-  EXPECT_EQ(a.surface_brightness, b.surface_brightness);
-  EXPECT_EQ(a.concentration, b.concentration);
-  EXPECT_EQ(a.asymmetry, b.asymmetry);
-  EXPECT_EQ(a.total_flux, b.total_flux);
-  EXPECT_EQ(a.petrosian_r, b.petrosian_r);
-  EXPECT_EQ(a.r20, b.r20);
-  EXPECT_EQ(a.r80, b.r80);
-  EXPECT_EQ(a.centroid_x, b.centroid_x);
-  EXPECT_EQ(a.centroid_y, b.centroid_y);
-  EXPECT_EQ(a.background_level, b.background_level);
-  EXPECT_EQ(a.background_sigma, b.background_sigma);
-  EXPECT_EQ(a.snr, b.snr);
-}
-
-TEST(SoaKernel, TiledMorphologyMatchesSerialBitForBit) {
-  ThreadPool pool(3);
-  const ParallelFor plain = [&pool](std::size_t n,
-                                    const std::function<void(std::size_t)>& fn) {
-    grid::parallel_for(pool, n, fn);
-  };
-  const ParallelFor shared = [&pool](std::size_t n,
-                                     const std::function<void(std::size_t)>& fn) {
-    grid::parallel_for_shared(pool, n, fn);
-  };
-  for (const int size : {128, 256}) {
-    for (const auto type : {sim::MorphType::kElliptical, sim::MorphType::kSpiral}) {
-      const Image img = render_test_galaxy(type, size, 0xBEEF + size);
-      MorphologyOptions serial;
-      const MorphologyParams want = measure_morphology(img, serial);
-      ASSERT_TRUE(want.valid) << "test galaxy should measure cleanly";
-      for (const ParallelFor* exec : {&plain, &shared}) {
-        MorphologyOptions tiled = serial;
-        tiled.tile_executor = exec;
-        expect_params_identical(measure_morphology(img, tiled), want);
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // parallel_for_shared: coverage, small-n, and pool-reentrant safety.
 // ---------------------------------------------------------------------------
 
@@ -183,9 +136,9 @@ TEST(SoaKernel, ParallelForSharedCoversEveryIndexOnce) {
 }
 
 TEST(SoaKernel, ParallelForSharedIsSafeFromInsideThePool) {
-  // The ComputeService wiring: outer kernel tasks run on pool workers and
-  // fan their tile loops back into the same pool. A blocking parallel_for
-  // here would deadlock a fully-busy pool; the shared loop must not.
+  // Outer tasks run on pool workers and fan inner loops back into the same
+  // pool. A blocking parallel_for here would deadlock a fully-busy pool;
+  // the shared loop must not.
   ThreadPool pool(2);
   constexpr std::size_t kOuter = 4;
   constexpr std::size_t kInner = 64;

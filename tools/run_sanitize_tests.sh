@@ -22,9 +22,9 @@ REGEX="${1:-resilience_test|chaos_test|services_test|replica_cache_test|data_pla
 # obs_test/observability_test drive the traced portal pipeline through the
 # kernel thread pool, and grid_test appends to the checkpoint journal from a
 # thread pool, so they belong in the TSan lane too. soa_kernel_test exercises
-# parallel_for_shared and the tiled kernel on a shared pool, and survey_test
-# fans the survey compute phase across a pool, so both join the TSan lane
-# (with the survey's big byte-identity case dialed down — TSan is ~10x).
+# parallel_for_shared on a shared pool, and survey_test fans the survey
+# compute phase across a pool, so both join the TSan lane (with the survey's
+# big byte-identity case dialed down — TSan is ~10x).
 # async_portal_test joins both lanes: the portal itself is single-threaded,
 # but its pipelines run the compute kernel on a pool, and the replica-cache
 # eviction-callback races it asserts are exactly what TSan checks.
