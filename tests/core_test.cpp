@@ -191,18 +191,22 @@ TEST(Photometry, PetrosianUndefinedOnEmptySky) {
 // One frame's C and A are a single noise realisation: the E-vs-Sp gap is a
 // few tenths in C and about 0.1 in A, while one frame's noise moves either
 // by a comparable amount. So each ordering below is stated on means over a
-// fixed set of truths: the named id plus `n - 1` more ids derived from it
-// ("M_E1", "M_E1.1", ...), which average the realisation out.
+// fixed set of truths: `base` under the named id plus `n - 1` more ids
+// derived from it ("M_E1", "M_E1.1", ...), which average the realisation
+// out.
 struct MeanMorphology {
   double concentration = 0.0;
   double asymmetry = 0.0;
 };
 
-MeanMorphology mean_morphology(MorphType type, const std::vector<std::string>& ids) {
+MeanMorphology mean_morphology(const GalaxyTruth& base,
+                               const std::vector<std::string>& ids) {
   MeanMorphology mean;
   for (const std::string& id : ids) {
-    const auto p = measure_morphology(
-        sim::render_galaxy(make_truth(type, id), 64, noisy_render()));
+    GalaxyTruth g = base;
+    g.id = id;
+    g.seed = hash64(id);
+    const auto p = measure_morphology(sim::render_galaxy(g, 64, noisy_render()));
     EXPECT_TRUE(p.valid) << id << ": " << p.failure_reason;
     mean.concentration += p.concentration / static_cast<double>(ids.size());
     mean.asymmetry += p.asymmetry / static_cast<double>(ids.size());
@@ -216,15 +220,35 @@ std::vector<std::string> truth_ids(const std::string& first, int n = 16) {
   return ids;
 }
 
+// The two ordering pairs share size, shape and flux (the spiral's r_e, the
+// elliptical's axis ratio), so each measures only the structure it names
+// instead of also comparing sizes and surface brightnesses.
+GalaxyTruth matched_truth(MorphType type) {
+  GalaxyTruth g = make_truth(type, "");
+  g.r_e_pix = 6.0;
+  g.axis_ratio = 0.85;
+  return g;
+}
+
 TEST(Morphology, EllipticalMoreConcentratedThanSpiral) {
-  const MeanMorphology e = mean_morphology(MorphType::kElliptical, truth_ids("M_E1"));
-  const MeanMorphology s = mean_morphology(MorphType::kSpiral, truth_ids("M_S1"));
+  // Only the Sersic index differs: the spiral's arms and clumps are off.
+  GalaxyTruth spiral = matched_truth(MorphType::kSpiral);
+  spiral.arm_amplitude = 0.0;
+  spiral.clumpiness = 0.0;
+  const MeanMorphology e =
+      mean_morphology(matched_truth(MorphType::kElliptical), truth_ids("M_E1"));
+  const MeanMorphology s = mean_morphology(spiral, truth_ids("M_S1"));
   EXPECT_GT(e.concentration, s.concentration);
 }
 
 TEST(Morphology, SpiralMoreAsymmetricThanElliptical) {
-  const MeanMorphology e = mean_morphology(MorphType::kElliptical, truth_ids("M_E2"));
-  const MeanMorphology s = mean_morphology(MorphType::kSpiral, truth_ids("M_S2"));
+  // Only the arms and clumps differ: the elliptical takes the spiral's
+  // Sersic index.
+  const GalaxyTruth spiral = matched_truth(MorphType::kSpiral);
+  GalaxyTruth elliptical = matched_truth(MorphType::kElliptical);
+  elliptical.sersic_n = spiral.sersic_n;
+  const MeanMorphology e = mean_morphology(elliptical, truth_ids("M_E2"));
+  const MeanMorphology s = mean_morphology(spiral, truth_ids("M_S2"));
   EXPECT_GT(s.asymmetry, e.asymmetry + 0.05);
 }
 
@@ -242,8 +266,8 @@ TEST(Morphology, OrderingsHoldAcrossSeeds) {
       e_ids.push_back("POP_E" + std::to_string(i + k * n));
       s_ids.push_back("POP_S" + std::to_string(i + k * n));
     }
-    const MeanMorphology e = mean_morphology(MorphType::kElliptical, e_ids);
-    const MeanMorphology s = mean_morphology(MorphType::kSpiral, s_ids);
+    const MeanMorphology e = mean_morphology(make_truth(MorphType::kElliptical, ""), e_ids);
+    const MeanMorphology s = mean_morphology(make_truth(MorphType::kSpiral, ""), s_ids);
     if (e.concentration > s.concentration) ++concentration_ok;
     if (s.asymmetry > e.asymmetry) ++asymmetry_ok;
   }
